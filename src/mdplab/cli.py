@@ -4,7 +4,7 @@ Structured results go to stdout as JSON; time series go to the ``--out`` CSV
 file (or stdout when no file is given).  CSV files are written to a temp path
 and renamed on success, so a failed run never leaves a partial file.  All
 stochastic subcommands derive their randomness from the global ``--seed``
-(default 0) through a single PCG64 stream.
+(default 0, must be >= 0) through a single PCG64 stream.
 
 Exit codes: 0 success, 1 usage error, 2 input validation or I/O error,
 3 schedule fails the divergent/finite-sum conditions, 4 schedule
@@ -264,6 +264,8 @@ def run(argv):
     if args.command is None:
         sys.stderr.write("error: a subcommand is required\n")
         return 1
+    if args.seed < 0:
+        return _fail(2, f"--seed must be >= 0, got {args.seed}")
     try:
         return _COMMANDS[args.command](args)
     except ValidationError as exc:

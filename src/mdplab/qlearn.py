@@ -10,6 +10,7 @@ the harmonic-power and constant families.
 
 from bisect import bisect_right
 from dataclasses import dataclass
+from itertools import islice, repeat
 
 import numpy as np
 
@@ -170,6 +171,12 @@ class QLearnConfig:
     start: str = "uniform"
 
     def __post_init__(self):
+        for name in ("seed", "steps", "checkpoint_every"):
+            value = getattr(self, name)
+            if not isinstance(value, (int, np.integer)) or isinstance(value, bool):
+                raise ValidationError(f"{name} must be an integer, got {value!r}")
+        if self.seed < 0:
+            raise ValidationError(f"seed must be >= 0, got {self.seed}")
         if self.steps < 1:
             raise ValidationError("steps must be >= 1")
         if self.checkpoint_every < 1:
@@ -201,6 +208,25 @@ class ConvergenceTrace:
     max_abs_q: float
 
 
+def _checkpoint(step, q, q_star, star_sets):
+    """Sup-norm distance to the oracle and the per-state greedy match."""
+    err = 0.0
+    match = []
+    for qi, qs, stars in zip(q, q_star, star_sets):
+        top = max(qi)
+        hit = False
+        for j in range(len(qi)):
+            d = qi[j] - qs[j]
+            if d < 0.0:
+                d = -d
+            if d > err:
+                err = d
+            if qi[j] == top and j in stars:
+                hit = True
+        match.append(hit)
+    return Checkpoint(step, err, np.array(match))
+
+
 def q_learning_run(mdp, config, oracle):
     """Run seeded tabular Q-learning against a solved oracle.
 
@@ -219,15 +245,19 @@ def q_learning_run(mdp, config, oracle):
     star_sets = [
         frozenset(np.nonzero(row >= row.max() - 1e-9)[0].tolist()) for row in q_star
     ]
+    q_star = q_star.tolist()
+    # Each row's last cumulative entry is dropped, so bisect_right returns at
+    # most n_s - 1: a draw at or above a total that rounds below 1 lands on
+    # the last state.
     cum = [
-        [np.cumsum(mdp.transitions[s, a]).tolist() for a in range(n_a)]
+        [np.cumsum(mdp.transitions[s, a])[:-1].tolist() for a in range(n_a)]
         for s in range(n_s)
     ]
     rewards = mdp.rewards.tolist()
     gamma = mdp.gamma
     eps = config.epsilon
     rate = config.schedule.rate
-    every = config.checkpoint_every
+    every = int(config.checkpoint_every)
 
     q = [[float(config.q_init)] * n_a for _ in range(n_s)]
     visits = [[0] * n_a for _ in range(n_s)]
@@ -238,53 +268,42 @@ def q_learning_run(mdp, config, oracle):
     rng = np.random.default_rng(config.seed)
     checkpoints = []
     t = 0
-    remaining = config.steps
+    remaining = int(config.steps)
     while remaining > 0:
-        block = rng.random((min(remaining, _CHUNK), 4)).tolist()
-        remaining -= len(block)
-        for u0, u1, u2, u3 in block:
-            t += 1
-            if uniform_mode:
-                s = int(u0 * n_s)
-            row = q[s]
-            if u1 < eps:
-                a = int(u2 * n_a)
-            else:
-                a = 0
-                best = row[0]
-                for j in range(1, n_a):
-                    if row[j] > best:
-                        best = row[j]
-                        a = j
-            nxt = bisect_right(cum[s][a], u3)
-            if nxt >= n_s:
-                nxt = n_s - 1
-            visits[s][a] += 1
-            beta = rate(visits[s][a])
-            value = row[a] + beta * (rewards[s][a] + gamma * max(q[nxt]) - row[a])
-            row[a] = value
-            if value > max_abs:
-                max_abs = value
-            elif -value > max_abs:
-                max_abs = -value
-            s = nxt
+        # One (chunk, 4) block per pass, turned into flat per-step lists with
+        # the same multiply and truncation as int(u * n): the restart state
+        # (uniform mode only), the exploration action or -1 when the coin
+        # says greedy, and the transition draw.
+        u = rng.random((min(remaining, _CHUNK), 4))
+        n = len(u)
+        remaining -= n
+        acting = (u[:, 0] * n_s).astype(np.int64).tolist() if uniform_mode else repeat(None)
+        explore = np.where(u[:, 1] < eps, (u[:, 2] * n_a).astype(np.int64), -1).tolist()
+        block = zip(acting, explore, u[:, 3].tolist())
+        while n > 0:
+            # steps up to the next checkpoint, or to the end of the block
+            seg = min(n, every - t % every)
+            n -= seg
+            t += seg
+            for s0, a, u3 in islice(block, seg):
+                if uniform_mode:
+                    s = s0
+                row = q[s]
+                if a < 0:  # greedy: the first maximum, the lowest tied index
+                    a = row.index(max(row))
+                nxt = bisect_right(cum[s][a], u3)
+                counts = visits[s]
+                i = counts[a] + 1
+                counts[a] = i
+                value = row[a] + rate(i) * (rewards[s][a] + gamma * max(q[nxt]) - row[a])
+                row[a] = value
+                if value > max_abs:
+                    max_abs = value
+                elif -value > max_abs:
+                    max_abs = -value
+                s = nxt
             if t % every == 0:
-                err = 0.0
-                match = []
-                for i in range(n_s):
-                    qi = q[i]
-                    top = max(qi)
-                    hit = False
-                    for j in range(n_a):
-                        d = qi[j] - q_star[i, j]
-                        if d < 0.0:
-                            d = -d
-                        if d > err:
-                            err = d
-                        if qi[j] == top and j in star_sets[i]:
-                            hit = True
-                    match.append(hit)
-                checkpoints.append(Checkpoint(t, err, np.array(match)))
+                checkpoints.append(_checkpoint(t, q, q_star, star_sets))
 
     return ConvergenceTrace(
         checkpoints=tuple(checkpoints),

@@ -226,6 +226,18 @@ class TestUsageErrors:
     def test_help_exits_0(self, capsys):
         assert run(["--help"]) == 0
 
+    @pytest.mark.parametrize("command", [
+        ["qlearn", "--steps", "10"],
+        ["pg", "--init", "gaussian", "--iters", "1"],
+        ["solve"],
+    ])
+    def test_negative_seed_exits_2(self, stay_go_path, command, capsys):
+        argv = ["--seed", "-1", command[0], "--mdp", stay_go_path, *command[1:]]
+        assert run(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: --seed must be >= 0, got -1\n"
+
 
 class TestEmitCsv:
     def test_empty_records_write_header_only(self, tmp_path):

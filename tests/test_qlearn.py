@@ -110,6 +110,25 @@ class TestConfigValidation:
             QLearnConfig(schedule=LearningRateSchedule.harmonic(1.0), steps=10,
                          epsilon=1.5)
 
+    @pytest.mark.parametrize("seed", [-1, -(2**70), 1.0, 2.5, "3", True, None])
+    def test_seed_must_be_a_nonnegative_integer(self, seed):
+        with pytest.raises(ValidationError):
+            QLearnConfig(schedule=LearningRateSchedule.harmonic(1.0), steps=10,
+                         seed=seed)
+
+    @pytest.mark.parametrize("field", ["steps", "checkpoint_every"])
+    @pytest.mark.parametrize("value", [100.0, "100", True])
+    def test_step_counts_must_be_integers(self, field, value):
+        with pytest.raises(ValidationError):
+            QLearnConfig(schedule=LearningRateSchedule.harmonic(1.0),
+                         **{"steps": 100, field: value})
+
+    @pytest.mark.parametrize("seed", [0, np.int64(7), 2**70])
+    def test_nonnegative_integer_seeds_are_accepted(self, seed):
+        config = QLearnConfig(schedule=LearningRateSchedule.harmonic(1.0), steps=10,
+                              seed=seed)
+        assert config.seed == seed
+
 
 class TestQLearningRun:
     def test_single_forced_update(self, stay_go, stay_go_oracle):

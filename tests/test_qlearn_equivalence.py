@@ -4,13 +4,21 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mdplab import LearningRateSchedule, QLearnConfig, make_mdp, policy_iteration, q_learning_run
+from mdplab import (
+    LearningRateSchedule,
+    QLearnConfig,
+    make_mdp,
+    policy_iteration,
+    q_learning_run,
+)
 from qlearn_reference import reference_q_learning_run, trace_bits
 
 schedules = st.one_of(
     st.floats(0.05, 2.0).map(LearningRateSchedule.harmonic),
     st.floats(0.0, 0.99).map(LearningRateSchedule.constant),
-    st.lists(st.floats(0.0, 1.0), min_size=1, max_size=6).map(LearningRateSchedule.from_table),
+    st.lists(st.floats(0.0, 1.0), min_size=1, max_size=6).map(
+        LearningRateSchedule.from_table
+    ),
 )
 
 
@@ -57,3 +65,27 @@ def test_library_loop_matches_reference(run):
     expected = reference_q_learning_run(mdp, config, oracle)
     actual = q_learning_run(mdp, config, oracle)
     assert trace_bits(actual) == trace_bits(expected)
+
+
+class _TopDraws:
+    """Stands in for a PCG64 stream: every uniform is the largest below 1."""
+
+    def __init__(self, seed):
+        pass
+
+    def random(self, shape):
+        return np.full(shape, 1.0 - 2.0**-53)
+
+
+def test_draw_above_a_row_total_below_one_lands_on_the_last_state(monkeypatch):
+    # each row sums to 1 - 1e-10, inside the 1e-9 tolerance, so the top draw
+    # falls past every cumulative entry
+    t = np.array([[[0.5, 0.5 - 1e-10]], [[0.25, 0.75 - 1e-10]]])
+    mdp = make_mdp(("s0", "s1"), ("a0",), 0.5, t, np.array([[1.0], [-1.0]]))
+    oracle = policy_iteration(mdp)
+    config = QLearnConfig(schedule=LearningRateSchedule.harmonic(1.0), steps=5,
+                          epsilon=0.0, checkpoint_every=1, start="s0")
+    monkeypatch.setattr(np.random, "default_rng", _TopDraws)
+    trace = q_learning_run(mdp, config, oracle)
+    assert trace.visits.counts.tolist() == [[1], [4]]
+    assert trace_bits(trace) == trace_bits(reference_q_learning_run(mdp, config, oracle))
