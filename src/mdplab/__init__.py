@@ -75,6 +75,7 @@ from .rewards import (
 from .solve import (
     DominanceReport,
     SolveResult,
+    ValueOverflowError,
     bellman_backup,
     policy_iteration,
     q_from_v,

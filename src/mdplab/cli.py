@@ -6,7 +6,8 @@ and renamed on success, so a failed run never leaves a partial file.  All
 stochastic subcommands derive their randomness from the global ``--seed``
 (default 0, must be >= 0) through a single PCG64 stream.
 
-Exit codes: 0 success, 1 usage error, 2 input validation or I/O error,
+Exit codes: 0 success, 1 usage error, 2 input validation or I/O error
+(including rewards so large for gamma that value iteration overflows),
 3 schedule fails the divergent/finite-sum conditions, 4 schedule
 indeterminate, 5 theorem-hypothesis violation (reducible chain or singular
 system).

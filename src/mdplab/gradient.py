@@ -11,14 +11,11 @@ by the normalization mu . V = 0.
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.sparse import csr_matrix
-from scipy.sparse.csgraph import connected_components
 
 from .mdp import Policy, QTable, ValidationError, policy_expectations
 
 FD_STEP = 1e-5
 REL_FLOOR = 1e-8
-POWER_TOL = 1e-12
 
 
 class NonFiniteThetaError(ValidationError):
@@ -32,7 +29,7 @@ class ReducibleChainError(RuntimeError):
 
 
 class SingularSystemError(RuntimeError):
-    """The differential-value linear system could not be solved."""
+    """The stationary or differential-value linear system could not be solved."""
 
 
 def softmax_policy(theta):
@@ -51,37 +48,58 @@ def softmax_policy(theta):
     return Policy.stochastic(e / e.sum(axis=1, keepdims=True))
 
 
-def _require_irreducible(p_pi):
-    n, _ = connected_components(
-        csr_matrix(p_pi > 0.0), directed=True, connection="strong"
-    )
-    if n != 1:
+def _strongly_connected(adj):
+    """True when every node of the boolean graph adj reaches node 0 and is
+    reached from it, which makes the graph strongly connected."""
+    for graph in (adj, adj.T):
+        seen = np.zeros(len(graph), dtype=bool)
+        seen[0] = True
+        frontier = seen
+        # each pass adds at least one node, so it stops within len(graph) passes
+        while frontier.any():
+            reach = graph[frontier].any(axis=0)
+            frontier = reach & ~seen
+            seen = seen | reach
+        if not seen.all():
+            return False
+    return True
+
+
+def _stationary(p_pi):
+    """Stationary distribution of a chain (S, S), or of each chain in a stack
+    (K, S, S).
+
+    One solve of the bordered system (I - P^T + 1 1^T) mu = 1, which is
+    nonsingular exactly when the chain has a single recurrent class (Kemeny &
+    Snell, Finite Markov Chains).  Raises ReducibleChainError unless every
+    chain's positive-probability graph is strongly connected; the graph check
+    runs once per distinct support pattern in the stack.
+    """
+    n = p_pi.shape[-1]
+    patterns = {adj.tobytes(): adj for adj in (p_pi > 0.0).reshape(-1, n, n)}
+    if not all(_strongly_connected(adj) for adj in patterns.values()):
         raise ReducibleChainError(
-            f"induced chain has {n} strongly connected components; "
+            "induced chain is not strongly connected; "
             "the stationary distribution is not unique"
         )
+    system = np.eye(n) + 1.0 - np.swapaxes(p_pi, -1, -2)
+    try:
+        mu = np.linalg.solve(system, np.ones(p_pi.shape[:-1])[..., None])[..., 0]
+    except np.linalg.LinAlgError as exc:
+        raise SingularSystemError(f"stationary system is singular: {exc}") from exc
+    return mu / mu.sum(axis=-1, keepdims=True)
 
 
 def stationary_distribution(mdp, policy):
     """Left fixed point of the policy-induced chain, as a probability vector.
 
-    Power iteration runs on the half-damped chain (P + I) / 2, which has the
-    same stationary vector but no periodicity, until the l1 change drops
-    below 1e-12.  Raises ReducibleChainError when the positive-probability
-    graph is not strongly connected.
+    A direct solve of the bordered system (I - P_pi^T + 1 1^T) mu = 1, so
+    slow-mixing chains cost no more than fast ones.  Raises
+    ReducibleChainError when the positive-probability graph is not strongly
+    connected.
     """
     _, p_pi = policy_expectations(mdp, policy)
-    _require_irreducible(p_pi)
-    n = p_pi.shape[0]
-    damped = 0.5 * (p_pi + np.eye(n))
-    mu = np.full(n, 1.0 / n)
-    for _ in range(1_000_000):
-        nxt = mu @ damped
-        done = np.abs(nxt - mu).sum() < POWER_TOL
-        mu = nxt
-        if done:
-            return mu / mu.sum()
-    raise RuntimeError("power iteration did not converge")
+    return _stationary(p_pi)
 
 
 def differential_q(mdp, policy, mu):
@@ -114,10 +132,8 @@ def _objective_pieces(mdp, theta):
 
 def average_reward(mdp, theta):
     """J(theta): stationary-average one-step reward of the softmax policy."""
-    policy = softmax_policy(theta)
-    mu = stationary_distribution(mdp, policy)
-    r_pi, _ = policy_expectations(mdp, policy)
-    return float(mu @ r_pi)
+    r_pi, p_pi = policy_expectations(mdp, softmax_policy(theta))
+    return float(_stationary(p_pi) @ r_pi)
 
 
 def policy_gradient_analytic(mdp, theta):
@@ -146,21 +162,26 @@ def gradient_check(mdp, theta, h=FD_STEP):
     """Compare the analytic gradient with central differences of J.
 
     numeric[s, a] = (J(theta + h e) - J(theta - h e)) / 2h per coordinate;
-    the relative difference uses max(1e-8, |numeric|) as denominator.
+    the relative difference uses max(1e-8, |numeric|) as denominator.  A bump
+    in row s changes only that row of the policy, so the 2A perturbed chains
+    of one state are built and solved as one stack.
     """
     h = float(h)
     if not h > 0.0:
         raise ValidationError("h must be > 0")
     theta = np.asarray(theta, dtype=float)
     analytic = policy_gradient_analytic(mdp, theta)
-    numeric = np.zeros_like(analytic)
-    for s in range(theta.shape[0]):
-        for a in range(theta.shape[1]):
-            bump = np.zeros_like(theta)
-            bump[s, a] = h
-            numeric[s, a] = (
-                average_reward(mdp, theta + bump) - average_reward(mdp, theta - bump)
-            ) / (2.0 * h)
+    n_s, n_a = theta.shape
+    base = softmax_policy(theta).probs
+    bumps = np.concatenate([np.eye(n_a), -np.eye(n_a)]) * h
+    numeric = np.empty_like(analytic)
+    for s in range(n_s):
+        probs = np.repeat(base[None], 2 * n_a, axis=0)
+        probs[:, s] = softmax_policy(theta[s] + bumps).probs
+        r_pi = (probs * mdp.rewards).sum(axis=2)
+        p_pi = np.einsum("ksa,saz->ksz", probs, mdp.transitions)
+        j = (_stationary(p_pi) * r_pi).sum(axis=1)
+        numeric[s] = (j[:n_a] - j[n_a:]) / (2.0 * h)
     diff = np.abs(analytic - numeric)
     rel = diff / np.maximum(REL_FLOOR, np.abs(numeric))
     return GradientReport(

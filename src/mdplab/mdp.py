@@ -14,8 +14,6 @@ from typing import NamedTuple
 import numpy as np
 
 ROW_SUM_TOL = 1e-9
-SWEEP_TOL = 1e-12
-DIRECT_SOLVE_MAX_STATES = 512
 
 _TOP_KEYS = ("states", "actions", "gamma", "transitions", "rewards")
 
@@ -412,22 +410,7 @@ def policy_expectations(mdp, policy):
 
 
 def policy_evaluate(mdp, policy):
-    """Unique fixed point of V = R_pi + gamma P_pi V.
-
-    Direct linear solve for |S| <= 512; larger problems iterate the Bellman
-    expectation operator until the sup-norm change drops below 1e-12.  Either
-    way the residual of the returned V is below 1e-9.
-    """
+    """Unique fixed point of V = R_pi + gamma P_pi V, by a direct linear solve."""
     r_pi, p_pi = policy_expectations(mdp, policy)
-    n = mdp.n_states
-    if n <= DIRECT_SOLVE_MAX_STATES:
-        v = np.linalg.solve(np.eye(n) - mdp.gamma * p_pi, r_pi)
-    else:
-        v = np.zeros(n)
-        while True:
-            nxt = r_pi + mdp.gamma * (p_pi @ v)
-            done = np.abs(nxt - v).max() < SWEEP_TOL
-            v = nxt
-            if done:
-                break
+    v = np.linalg.solve(np.eye(mdp.n_states) - mdp.gamma * p_pi, r_pi)
     return ValueFunction(v)

@@ -219,7 +219,7 @@ def _checkpoint(step, q, q_star, star_sets):
             d = qi[j] - qs[j]
             if d < 0.0:
                 d = -d
-            if d > err:
+            if d > err or d != d:  # a NaN difference sticks, it is never skipped
                 err = d
             if qi[j] == top and j in stars:
                 hit = True

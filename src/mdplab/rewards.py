@@ -235,22 +235,22 @@ def _unit_scale(v):
     return (v - v.min()) / span
 
 
-def compare_policies(dynamics, reward_a, reward_b):
-    """Solve the dynamics under both reward tables and compare optimal actions.
-
-    Each induced MDP is solved to epsilon 1e-8; actions within 1e-7 of a
-    state's best action value belong to its argmax set.
-    """
-    reward_a = np.asarray(reward_a, dtype=float)
-    reward_b = np.asarray(reward_b, dtype=float)
+def _grid_table(dynamics, table, name):
+    table = np.asarray(table, dtype=float)
     shape = (dynamics.n_states, dynamics.n_actions)
-    for name, table in (("A", reward_a), ("B", reward_b)):
-        if table.shape != shape:
-            raise GridMismatchError(
-                f"reward table {name} has shape {table.shape}, expected {shape}"
-            )
-    sol_a = value_iteration(with_rewards(dynamics, reward_a), SOLVE_EPSILON)
-    sol_b = value_iteration(with_rewards(dynamics, reward_b), SOLVE_EPSILON)
+    if table.shape != shape:
+        raise GridMismatchError(
+            f"reward table {name} has shape {table.shape}, expected {shape}"
+        )
+    return table
+
+
+def _solve(dynamics, table):
+    return value_iteration(with_rewards(dynamics, table), SOLVE_EPSILON)
+
+
+def _divergence(dynamics, sol_a, sol_b):
+    """Argmax-set and unit-scaled value comparison of two solutions."""
     sets_a = _argmax_sets(sol_a.q_star.values)
     sets_b = _argmax_sets(sol_b.q_star.values)
     per_state = {}
@@ -273,13 +273,24 @@ def compare_policies(dynamics, reward_a, reward_b):
     )
 
 
+def compare_policies(dynamics, reward_a, reward_b):
+    """Solve the dynamics under both reward tables and compare optimal actions.
+
+    Each induced MDP is solved to epsilon 1e-8; actions within 1e-7 of a
+    state's best action value belong to its argmax set.
+    """
+    reward_a = _grid_table(dynamics, reward_a, "A")
+    reward_b = _grid_table(dynamics, reward_b, "B")
+    return _divergence(dynamics, _solve(dynamics, reward_a), _solve(dynamics, reward_b))
+
+
 def sweep_weights(dynamics, hierarchy, level_index, grid):
     """Divergence of the composed objective as one level's weight varies.
 
     For each weight in the grid the hierarchy is recomposed with that weight
     on the chosen level and compared (argmax divergence) against the baseline
-    composition where the same level has weight zero.  Returns a list of
-    (weight, divergence) pairs.
+    composition where the same level has weight zero; the baseline is solved
+    once.  Returns a list of (weight, divergence) pairs.
     """
     if not 0 <= level_index < len(hierarchy.levels):
         raise ValidationError(f"no level at index {level_index}")
@@ -288,12 +299,15 @@ def sweep_weights(dynamics, hierarchy, level_index, grid):
         raise ValidationError("weight grid must be nonempty")
     if any(not np.isfinite(w) or w < 0.0 for w in grid):
         raise ValidationError("weights must be finite and >= 0")
-    baseline = _composed(hierarchy.levels, override={level_index: 0.0})
+    # every recomposed table has the baseline's grid, so one check covers all
+    baseline = _grid_table(
+        dynamics, _composed(hierarchy.levels, override={level_index: 0.0}), "A"
+    )
+    sol_base = _solve(dynamics, baseline)
     out = []
     for w in grid:
         table = _composed(hierarchy.levels, override={level_index: w})
-        report = compare_policies(dynamics, baseline, table)
-        out.append((w, report.divergence))
+        out.append((w, _divergence(dynamics, sol_base, _solve(dynamics, table)).divergence))
     return out
 
 

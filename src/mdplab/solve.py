@@ -13,6 +13,11 @@ from .mdp import Policy, QTable, ValidationError, ValueFunction, policy_evaluate
 DOMINANCE_SLACK = 1e-7
 
 
+class ValueOverflowError(ValidationError):
+    """Value iteration left the floating-point range: the rewards are too
+    large for the discount factor."""
+
+
 def q_from_v(mdp, v):
     """One-step lookahead: Q(s, a) = R(s, a) + gamma sum_s' P(s'|s, a) V(s')."""
     return mdp.rewards + mdp.gamma * (mdp.transitions @ np.asarray(v, dtype=float))
@@ -62,7 +67,9 @@ def value_iteration(mdp, epsilon):
 
     Stops once the sup-norm sweep change falls below epsilon (1 - gamma) /
     (2 gamma), the classical guarantee for an epsilon-accurate value; a
-    gamma of 0 stops after the first sweep, which is already exact.
+    gamma of 0 stops after the first sweep, which is already exact.  Raises
+    ValueOverflowError once the change is not finite, since it can then never
+    fall below the threshold.
     """
     epsilon = float(epsilon)
     if not epsilon > 0.0:
@@ -71,13 +78,20 @@ def value_iteration(mdp, epsilon):
     threshold = epsilon * (1.0 - gamma) / (2.0 * gamma) if gamma > 0.0 else np.inf
     v = np.zeros(mdp.n_states)
     iterations = 0
-    while True:
-        nxt = bellman_backup(mdp, v)
-        iterations += 1
-        change = np.abs(nxt - v).max()
-        v = nxt
-        if gamma == 0.0 or change < threshold:
-            break
+    # An overflow is reported by the finiteness check below, not as a warning.
+    with np.errstate(over="ignore", invalid="ignore"):
+        while True:
+            nxt = bellman_backup(mdp, v)
+            iterations += 1
+            change = np.abs(nxt - v).max()
+            if not change < np.inf:  # inf or NaN
+                raise ValueOverflowError(
+                    f"value iteration overflowed after {iterations} sweeps "
+                    f"(sweep change {change}); rewards are too large for gamma {gamma}"
+                )
+            v = nxt
+            if gamma == 0.0 or change < threshold:
+                break
     return _result_from_v(mdp, v, iterations)
 
 

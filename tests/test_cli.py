@@ -2,14 +2,29 @@
 
 import json
 import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import mdplab
 from mdplab import ValidationError, mdp_to_dict, stay_go_dynamics, stay_go_mdp
 from mdplab.cli import emit_csv, run
+
+SRC = str(Path(mdplab.__file__).resolve().parents[1])
+
+
+def run_python(args, timeout=60):
+    """Run a fresh interpreter that imports mdplab from this source tree."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [SRC, env.get("PYTHONPATH")]))
+    return subprocess.run(
+        [sys.executable, *args], capture_output=True, text=True, env=env, timeout=timeout
+    )
 
 
 @pytest.fixture
@@ -57,6 +72,18 @@ class TestSolveCommand:
         path = write_json(tmp_path, "bad.json", doc)
         assert run(["solve", "--mdp", path]) == 2
         assert capsys.readouterr().err.startswith("error:")
+
+    def test_overflowing_values_exit_2(self, tmp_path):
+        # V(s1) = 1.7e308 / (1 - 0.5) overflows, and a non-finite sweep change
+        # never falls below the stopping threshold: the timeout catches a hang
+        doc = mdp_to_dict(stay_go_mdp())
+        doc["rewards"]["s1"]["stay"] = 1.7e308
+        path = write_json(tmp_path, "huge.json", doc)
+        proc = run_python(["-m", "mdplab", "solve", "--mdp", path])
+        assert proc.returncode == 2
+        assert proc.stdout == ""
+        assert proc.stderr.startswith("error: value iteration overflowed")
+        assert proc.stderr.count("\n") == 1
 
     def test_unparseable_json_exits_2(self, tmp_path, capsys):
         path = tmp_path / "broken.json"
@@ -237,6 +264,12 @@ class TestUsageErrors:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == "error: --seed must be >= 0, got -1\n"
+
+
+def test_import_does_not_load_scipy():
+    proc = run_python(["-c", "import sys, mdplab; print('scipy' in sys.modules)"])
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "False\n"
 
 
 class TestEmitCsv:

@@ -1,9 +1,14 @@
 """Softmax policies, stationary distributions, gradients, and ascent."""
 
+import time
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 from scipy import linalg
+from scipy.sparse.csgraph import connected_components
 
 from mdplab import (
     NonFiniteThetaError,
@@ -22,6 +27,7 @@ from mdplab import (
     stay_go_mdp,
     with_rewards,
 )
+from mdplab.gradient import _strongly_connected
 
 
 def one_state_bandit(r0=1.0, r1=0.0, gamma=0.5):
@@ -113,6 +119,42 @@ class TestStationaryDistribution:
         mdp = reducible_mdp()
         with pytest.raises(ReducibleChainError):
             stationary_distribution(mdp, Policy.deterministic(np.array([0, 0])))
+
+    def test_slow_mixing_chain_is_solved_directly(self, stay_go):
+        # both states nearly always "stay", so the chain is irreducible but
+        # its spectral gap is about 7e-6; balance of the "go" flows gives
+        # mu(s0) / mu(s1) = pi(go | s1) / pi(go | s0)
+        pol = softmax_policy(np.array([[7.0, -7.0], [6.0, -6.0]]))
+        start = time.perf_counter()
+        mu = stationary_distribution(stay_go, pol)
+        elapsed = time.perf_counter() - start
+        p_pi = np.einsum("sa,saz->sz", pol.probs, stay_go.transitions)
+        assert np.abs(mu - mu @ p_pi).sum() < 1e-12
+        ratio = pol.probs[1, 1] / pol.probs[0, 1]
+        assert_allclose(mu, [ratio / (1.0 + ratio), 1.0 / (1.0 + ratio)], rtol=1e-9)
+        assert elapsed < 0.5
+
+
+@st.composite
+def sparse_graphs(draw):
+    n = draw(st.integers(1, 12))
+    adj = np.zeros((n, n), dtype=bool)
+    # a cycle through some of the nodes, so that strongly connected graphs
+    # and graphs one edge short of it are both common
+    cycle = draw(st.permutations(range(n)))[: draw(st.integers(0, n))]
+    for i, j in zip(cycle, cycle[1:] + cycle[:1]):
+        adj[i, j] = True
+    edges = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1))
+    for i, j in draw(st.lists(edges, max_size=2 * n)):
+        adj[i, j] = True
+    return adj
+
+
+@settings(max_examples=300, deadline=None)
+@given(sparse_graphs())
+def test_reachability_check_agrees_with_scipy_components(adj):
+    n, _ = connected_components(adj.astype(float), directed=True, connection="strong")
+    assert _strongly_connected(adj) == (n == 1)
 
 
 class TestDifferentialQ:
@@ -215,6 +257,23 @@ class TestGradientCheck:
     def test_single_state_closed_form_derivative(self):
         report = gradient_check(one_state_bandit(), np.zeros((1, 2)), 1e-5)
         assert report.max_abs_diff < 1e-9
+
+    def test_batched_numeric_gradient_matches_a_coordinate_loop(self):
+        gen = np.random.default_rng(17)
+        for n_s, n_a in ((1, 2), (5, 3), (9, 4)):
+            mdp = random_mdp(n_s, n_a, 0.9, gen)
+            theta = gen.normal(0.0, 1.0, size=(n_s, n_a))
+            h = 1e-5
+            loop = np.zeros_like(theta)
+            for s in range(n_s):
+                for a in range(n_a):
+                    bump = np.zeros_like(theta)
+                    bump[s, a] = h
+                    loop[s, a] = (
+                        average_reward(mdp, theta + bump) - average_reward(mdp, theta - bump)
+                    ) / (2.0 * h)
+            report = gradient_check(mdp, theta, h)
+            assert np.abs(report.numeric - loop).max() < 1e-9
 
     def test_h_must_be_positive(self, stay_go):
         with pytest.raises(ValidationError):

@@ -200,6 +200,18 @@ class TestQLearningRun:
         assert summary.greedy_policy_matched
         assert summary.last_decile_median_err < summary.first_decile_median_err
 
+    def test_non_finite_error_is_reported(self, stay_go):
+        # Q* overflows here, so every difference to it is inf or NaN; a NaN
+        # must not be skipped by the max scan and reported as 0.0
+        mdp = with_rewards(stay_go, [[0.0, 0.0], [1.7e308, 0.0]])
+        with np.errstate(over="ignore", invalid="ignore"):
+            oracle = policy_iteration(mdp)
+            config = QLearnConfig(schedule=LearningRateSchedule.harmonic(1.0),
+                                  steps=2000, seed=0, checkpoint_every=500)
+            trace = q_learning_run(mdp, config, oracle)
+        assert len(trace.checkpoints) == 4
+        assert not any(np.isfinite(cp.supnorm_error) for cp in trace.checkpoints)
+
     def test_oracle_shape_mismatch(self, stay_go, rng):
         other = policy_iteration(random_mdp(3, 2, 0.5, rng))
         config = QLearnConfig(schedule=LearningRateSchedule.harmonic(1.0), steps=10)

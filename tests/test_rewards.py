@@ -213,6 +213,30 @@ class TestSweepWeights:
         rows = sweep_weights(dyn, hier, 1, [2.5])
         assert rows == [(2.5, 0.0)]
 
+    def test_rows_equal_per_point_comparisons(self):
+        # the baseline is solved once; each row must still be exactly the
+        # divergence compare_policies reports for that point
+        gen = np.random.default_rng(21)
+        dyn = random_mdp(12, 3, 0.9, gen)
+        hier = RewardHierarchy(tuple(
+            RewardLevel(name, gen.normal(0.0, 1.0, size=(12, 3)), weight)
+            for name, weight in (("a", 1.0), ("b", 0.5), ("c", 2.0))
+        ))
+        grid = [0.0, 0.3, 1.0, 2.5, 10.0]
+        baseline = level_with_weight(hier, 1, 0.0)
+        expected = [
+            (w, compare_policies(dyn, compose_reward(baseline),
+                                 compose_reward(level_with_weight(hier, 1, w))).divergence)
+            for w in grid
+        ]
+        assert sweep_weights(dyn, hier, 1, grid) == expected
+
+    def test_hierarchy_grid_must_match_the_dynamics(self):
+        dyn, _ = egoism_vs_humanity()
+        hier = RewardHierarchy((RewardLevel("solo", np.zeros((3, 2)), 1.0),))
+        with pytest.raises(GridMismatchError):
+            sweep_weights(dyn, hier, 0, [1.0])
+
     def test_grid_validation(self):
         dyn, hier = egoism_vs_humanity()
         with pytest.raises(ValidationError):
