@@ -58,4 +58,4 @@ print("\nearly-decile median error:", f"{summary.first_decile_median_err:.4f}")
 print("late-decile median error: ", f"{summary.last_decile_median_err:.4f}")
 print("final error:              ", f"{summary.final_err:.4f}")
 print("greedy actions all optimal:", summary.greedy_policy_matched)
-print("visit counts:", trace.visits.counts.tolist())
+print("visit counts:", trace.visits.tolist())

@@ -11,6 +11,7 @@ from .gradient import (
     NonFiniteThetaError,
     ReducibleChainError,
     SingularSystemError,
+    ascent_trace,
     average_reward,
     differential_q,
     gradient_ascent,
@@ -21,6 +22,7 @@ from .gradient import (
 )
 from .mdp import (
     GammaRangeError,
+    GridMismatchError,
     Mdp,
     MissingEntryError,
     NonFiniteRewardError,
@@ -28,18 +30,19 @@ from .mdp import (
     QTable,
     RowSumError,
     SchemaError,
-    TransitionSample,
     UnknownActionError,
     UnknownStateError,
     ValidationError,
     ValueFunction,
+    expectations,
     load_dynamics,
+    load_json,
     load_mdp,
     make_mdp,
     mdp_to_dict,
     policy_evaluate,
     step,
-    validate_dynamics,
+    table_from_dict,
     validate_mdp,
     with_rewards,
 )
@@ -53,14 +56,12 @@ from .qlearn import (
     RateAtLeastOneError,
     ScheduleVerdict,
     TooFewCheckpointsError,
-    VisitCounter,
     classify_schedule,
     convergence_report,
     q_learning_run,
 )
 from .rewards import (
     DivergenceReport,
-    GridMismatchError,
     NonMonotoneFilterError,
     RewardHierarchy,
     RewardLevel,
@@ -70,11 +71,11 @@ from .rewards import (
     hierarchy_from_dict,
     level_with_weight,
     sweep_weights,
-    table_from_dict,
 )
 from .solve import (
     DominanceReport,
     SolveResult,
+    SweepLimitError,
     ValueOverflowError,
     bellman_backup,
     policy_iteration,

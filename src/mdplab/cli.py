@@ -7,10 +7,11 @@ stochastic subcommands derive their randomness from the global ``--seed``
 (default 0, must be >= 0) through a single PCG64 stream.
 
 Exit codes: 0 success, 1 usage error, 2 input validation or I/O error
-(including rewards so large for gamma that value iteration overflows),
-3 schedule fails the divergent/finite-sum conditions, 4 schedule
-indeterminate, 5 theorem-hypothesis violation (reducible chain or singular
-system).
+(including rewards so large for gamma that the exact values overflow, a gamma
+so close to 1 that value iteration would need over 10**6 sweeps, and filter
+knots whose end segments have infinite slope), 3 schedule fails the
+divergent/finite-sum conditions, 4 schedule indeterminate, 5 theorem-hypothesis
+violation (reducible chain or singular system).
 """
 
 import argparse
@@ -23,14 +24,14 @@ import numpy as np
 from .gradient import (
     ReducibleChainError,
     SingularSystemError,
-    _ascent,
+    ascent_trace,
     gradient_check,
     softmax_policy,
     stationary_distribution,
 )
-from .mdp import ValidationError, load_dynamics, load_mdp, _load_doc
+from .mdp import ValidationError, load_dynamics, load_json, load_mdp, table_from_dict
 from .qlearn import LearningRateSchedule, QLearnConfig, classify_schedule, q_learning_run
-from .rewards import compare_policies, hierarchy_from_dict, sweep_weights, table_from_dict
+from .rewards import compare_policies, hierarchy_from_dict, sweep_weights
 from .solve import policy_iteration, value_iteration
 
 
@@ -195,7 +196,7 @@ def _cmd_pg(args):
         theta0 = np.zeros(shape)
     else:
         theta0 = np.random.default_rng(args.seed).normal(0.0, 0.1, size=shape)
-    theta, js, grad_norms = _ascent(mdp, theta0, args.step_size, args.iters)
+    theta, js, grad_norms = ascent_trace(mdp, theta0, args.step_size, args.iters)
     if args.out is not None:
         records = [(k, js[k], grad_norms[k]) for k in range(len(grad_norms))]
         emit_csv(records, ("iter", "J", "grad_norm"), args.out)
@@ -220,8 +221,8 @@ def _cmd_pg(args):
 
 def _cmd_compare(args):
     dynamics = load_dynamics(args.dynamics)
-    reward_a = table_from_dict(dynamics.states, dynamics.actions, _load_doc(args.reward_a))
-    reward_b = table_from_dict(dynamics.states, dynamics.actions, _load_doc(args.reward_b))
+    reward_a = table_from_dict(dynamics.states, dynamics.actions, load_json(args.reward_a))
+    reward_b = table_from_dict(dynamics.states, dynamics.actions, load_json(args.reward_b))
     report = compare_policies(dynamics, reward_a, reward_b)
     _emit_json(report.as_dict())
     return 0
@@ -229,7 +230,7 @@ def _cmd_compare(args):
 
 def _cmd_sweep(args):
     dynamics = load_dynamics(args.dynamics)
-    hierarchy = hierarchy_from_dict(_load_doc(args.hierarchy), dynamics.states, dynamics.actions)
+    hierarchy = hierarchy_from_dict(load_json(args.hierarchy), dynamics.states, dynamics.actions)
     try:
         grid = [float(v) for v in args.grid.split(",")]
     except ValueError:

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .mdp import Policy, QTable, ValidationError, policy_expectations
+from .mdp import Policy, QTable, ValidationError, expectations, policy_expectations
 
 FD_STEP = 1e-5
 REL_FLOOR = 1e-8
@@ -110,7 +110,11 @@ def differential_q(mdp, policy, mu):
     Q(s, a) = R(s, a) - J + P(.|s, a) . V.
     """
     r_pi, p_pi = policy_expectations(mdp, policy)
-    mu = np.asarray(mu, dtype=float)
+    q, j = _differential(mdp, r_pi, p_pi, np.asarray(mu, dtype=float))
+    return QTable(q), j
+
+
+def _differential(mdp, r_pi, p_pi, mu):
     j = float(mu @ r_pi)
     n = p_pi.shape[0]
     system = np.eye(n) - p_pi + np.outer(np.ones(n), mu)
@@ -119,15 +123,17 @@ def differential_q(mdp, policy, mu):
     except np.linalg.LinAlgError as exc:
         raise SingularSystemError(f"differential-value system is singular: {exc}") from exc
     v -= mu @ v
-    q = mdp.rewards - j + mdp.transitions @ v
-    return QTable(q), j
+    return mdp.rewards - j + mdp.transitions @ v, j
 
 
-def _objective_pieces(mdp, theta):
+def _gradient(mdp, theta):
+    """Exact gradient of J at theta, and J; R_pi and P_pi are built once."""
     policy = softmax_policy(theta)
-    mu = stationary_distribution(mdp, policy)
-    q, j = differential_q(mdp, policy, mu)
-    return policy, mu, q, j
+    r_pi, p_pi = policy_expectations(mdp, policy)
+    mu = _stationary(p_pi)
+    q, j = _differential(mdp, r_pi, p_pi, mu)
+    v = (policy.probs * q).sum(axis=1)
+    return mu[:, None] * policy.probs * (q - v[:, None]), j
 
 
 def average_reward(mdp, theta):
@@ -143,9 +149,7 @@ def policy_gradient_analytic(mdp, theta):
     Q; this is the closed form of the score-function expectation
     E[grad log pi * Q] taken under mu and pi, no sampling involved.
     """
-    policy, mu, q, _ = _objective_pieces(mdp, theta)
-    v = (policy.probs * q.values).sum(axis=1)
-    return mu[:, None] * policy.probs * (q.values - v[:, None])
+    return _gradient(mdp, theta)[0]
 
 
 @dataclass(frozen=True, eq=False)
@@ -178,8 +182,7 @@ def gradient_check(mdp, theta, h=FD_STEP):
     for s in range(n_s):
         probs = np.repeat(base[None], 2 * n_a, axis=0)
         probs[:, s] = softmax_policy(theta[s] + bumps).probs
-        r_pi = (probs * mdp.rewards).sum(axis=2)
-        p_pi = np.einsum("ksa,saz->ksz", probs, mdp.transitions)
+        r_pi, p_pi = expectations(mdp, probs)
         j = (_stationary(p_pi) * r_pi).sum(axis=1)
         numeric[s] = (j[:n_a] - j[n_a:]) / (2.0 * h)
     diff = np.abs(analytic - numeric)
@@ -192,7 +195,16 @@ def gradient_check(mdp, theta, h=FD_STEP):
     )
 
 
-def _ascent(mdp, theta0, step_size, iters):
+def ascent_trace(mdp, theta0, step_size, iters):
+    """Plain gradient ascent on J; returns (theta_final, J trace, gradient norms).
+
+    The trace holds J(theta_k) for k = 0..iters, so its last entry is the
+    objective at the returned parameters; the norms are the Euclidean norms
+    of the iters gradients applied.  If the induced chain becomes reducible
+    mid-run (softmax rows can underflow to exact zeros), the raised
+    ReducibleChainError carries the partial trace as ``j_trace`` and the
+    last parameters as ``theta``.
+    """
     step_size = float(step_size)
     if not step_size > 0.0:
         raise ValidationError("step_size must be > 0")
@@ -201,19 +213,12 @@ def _ascent(mdp, theta0, step_size, iters):
     theta = np.array(theta0, dtype=float)
     js = []
     grad_norms = []
-    for _ in range(int(iters)):
-        try:
-            policy, mu, q, j = _objective_pieces(mdp, theta)
-        except ReducibleChainError as exc:
-            exc.j_trace = np.array(js)
-            exc.theta = theta
-            raise
-        v = (policy.probs * q.values).sum(axis=1)
-        grad = mu[:, None] * policy.probs * (q.values - v[:, None])
-        js.append(j)
-        grad_norms.append(float(np.sqrt((grad * grad).sum())))
-        theta = theta + step_size * grad
     try:
+        for _ in range(int(iters)):
+            grad, j = _gradient(mdp, theta)
+            js.append(j)
+            grad_norms.append(float(np.sqrt((grad * grad).sum())))
+            theta = theta + step_size * grad
         js.append(average_reward(mdp, theta))
     except ReducibleChainError as exc:
         exc.j_trace = np.array(js)
@@ -223,12 +228,6 @@ def _ascent(mdp, theta0, step_size, iters):
 
 
 def gradient_ascent(mdp, theta0, step_size, iters):
-    """Plain gradient ascent on J; returns (theta_final, J trace).
-
-    The trace holds J(theta_k) for k = 0..iters, so its last entry is the
-    objective at the returned parameters.  If the induced chain becomes
-    reducible mid-run (softmax rows can underflow to exact zeros), the raised
-    ReducibleChainError carries the partial trace.
-    """
-    theta, js, _ = _ascent(mdp, theta0, step_size, iters)
+    """Plain gradient ascent on J; ``ascent_trace`` without the gradient norms."""
+    theta, js, _ = ascent_trace(mdp, theta0, step_size, iters)
     return theta, js

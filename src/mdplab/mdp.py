@@ -9,7 +9,6 @@ one stream per running experiment.
 
 import json
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 
@@ -36,6 +35,11 @@ class GammaRangeError(ValidationError):
 
 class MissingEntryError(ValidationError):
     """A (state, action) pair lacks a transition row or a reward entry."""
+
+
+class GridMismatchError(MissingEntryError):
+    """A {state: {action: entry}} document or a reward table does not cover
+    the (state, action) grid: an entry is missing or a key is unknown."""
 
 
 class NonFiniteRewardError(ValidationError):
@@ -93,15 +97,6 @@ class Mdp:
             raise UnknownActionError(f"unknown action: {action!r}") from None
 
 
-class TransitionSample(NamedTuple):
-    """One observed transition (s, a, r, s')."""
-
-    state: str
-    action: str
-    reward: float
-    next_state: str
-
-
 @dataclass(frozen=True, eq=False)
 class Policy:
     """Deterministic (state -> action) or stochastic (state -> simplex row).
@@ -138,16 +133,6 @@ class Policy:
             raise ValidationError("policy rows must sum to 1 within 1e-9")
         arr = _frozen(arr)
         return cls("stochastic", probs=arr)
-
-    def matrix(self, n_actions):
-        """Action-probability matrix (S, A); one-hot rows when deterministic."""
-        if self.kind == "deterministic":
-            if self.actions.size and self.actions.max() >= n_actions:
-                raise ValidationError("policy refers to an out-of-range action")
-            return np.eye(n_actions)[self.actions]
-        if self.probs.shape[1] != n_actions:
-            raise ValidationError("policy has the wrong number of actions")
-        return self.probs
 
     def as_dict(self, mdp):
         if self.kind == "deterministic":
@@ -202,7 +187,54 @@ def _as_number(value, where, err=SchemaError):
     # bool is an int subclass; JSON true/false is not a number here
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise err(f"{where} must be a number, got {value!r}")
-    return float(value)
+    try:
+        return float(value)
+    except OverflowError:  # a JSON integer beyond the float range
+        raise err(f"{where} is too large for a float") from None
+
+
+def _check_keys(obj, names, where):
+    if not isinstance(obj, dict):
+        raise SchemaError(f"{where} must be an object keyed by name")
+    unknown = [key for key in obj if key not in names]
+    if unknown:
+        raise GridMismatchError(f"{where} has unknown keys {unknown}")
+    missing = [name for name in names if name not in obj]
+    if missing:
+        raise GridMismatchError(f"{where} has no entries for {missing}")
+
+
+def _grid(doc, states, actions, what, entry):
+    """Walk a {state: {action: entry}} document over the whole grid.
+
+    Every state and every action must appear and nothing else may; each
+    entry is parsed by ``entry(value, where)``.  Returns the parsed entries
+    as an (S, A, ...) float array.
+    """
+    _check_keys(doc, states, what)
+    for s in states:
+        _check_keys(doc[s], actions, f"{what}[{s!r}]")
+    return np.array(
+        [[entry(doc[s][a], f"{what}[{s!r}][{a!r}]") for a in actions] for s in states],
+        dtype=float,
+    )
+
+
+def _reward_entry(value, where):
+    if isinstance(value, dict):
+        raise SchemaError(
+            f"{where} maps successors to rewards; "
+            "rewards must be a single number per (state, action)"
+        )
+    value = _as_number(value, where, err=NonFiniteRewardError)
+    if not np.isfinite(value):
+        raise NonFiniteRewardError(f"{where} is not finite")
+    return value
+
+
+def table_from_dict(states, actions, doc):
+    """Reward table (S, A) from a {state: {action: number}} document."""
+    return _grid(doc, states, actions, "rewards", _reward_entry)
 
 
 def make_mdp(states, actions, gamma, transitions, rewards):
@@ -261,79 +293,23 @@ def validate_mdp(doc, require_rewards=True):
         raise SchemaError(f"missing top-level keys: {missing}")
     states = _check_names(doc["states"], "states")
     actions = _check_names(doc["actions"], "actions")
-    n_s, n_a = len(states), len(actions)
+    index = {s: k for k, s in enumerate(states)}
 
-    tdoc = doc["transitions"]
-    if not isinstance(tdoc, dict):
-        raise SchemaError("transitions must be an object keyed by state")
-    for key in tdoc:
-        if key not in states:
-            raise SchemaError(f"transitions mention unknown state {key!r}")
-    transitions = np.zeros((n_s, n_a, n_s))
-    for i, s in enumerate(states):
-        row_doc = tdoc.get(s)
-        if row_doc is None:
-            raise MissingEntryError(f"no transitions for state {s!r}")
-        if not isinstance(row_doc, dict):
-            raise SchemaError(f"transitions[{s!r}] must be an object keyed by action")
-        for key in row_doc:
-            if key not in actions:
-                raise SchemaError(f"transitions[{s!r}] mentions unknown action {key!r}")
-        for j, a in enumerate(actions):
-            entry = row_doc.get(a)
-            if entry is None:
-                raise MissingEntryError(f"no transition row for ({s!r}, {a!r})")
-            if not isinstance(entry, dict):
-                raise SchemaError(
-                    f"transitions[{s!r}][{a!r}] must map successor states to probabilities"
-                )
-            for key in entry:
-                if key not in states:
-                    raise SchemaError(
-                        f"transitions[{s!r}][{a!r}] mentions unknown state {key!r}"
-                    )
-            for k, nxt in enumerate(states):
-                if nxt in entry:
-                    transitions[i, j, k] = _as_number(
-                        entry[nxt], f"transitions[{s!r}][{a!r}][{nxt!r}]", err=RowSumError
-                    )
+    def transition_row(entry, where):
+        if not isinstance(entry, dict):
+            raise SchemaError(f"{where} must map successor states to probabilities")
+        row = [0.0] * len(states)
+        for nxt, p in entry.items():
+            if nxt not in index:
+                raise SchemaError(f"{where} mentions unknown state {nxt!r}")
+            row[index[nxt]] = _as_number(p, f"{where}[{nxt!r}]", err=RowSumError)
+        return row
 
-    rewards = np.zeros((n_s, n_a))
-    if require_rewards or "rewards" in doc:
-        rdoc = doc["rewards"]
-        if not isinstance(rdoc, dict):
-            raise SchemaError("rewards must be an object keyed by state")
-        for key in rdoc:
-            if key not in states:
-                raise SchemaError(f"rewards mention unknown state {key!r}")
-        for i, s in enumerate(states):
-            row_doc = rdoc.get(s)
-            if row_doc is None:
-                raise MissingEntryError(f"no rewards for state {s!r}")
-            if not isinstance(row_doc, dict):
-                raise SchemaError(f"rewards[{s!r}] must be an object keyed by action")
-            for key in row_doc:
-                if key not in actions:
-                    raise SchemaError(f"rewards[{s!r}] mentions unknown action {key!r}")
-            for j, a in enumerate(actions):
-                if a not in row_doc:
-                    raise MissingEntryError(f"no reward entry for ({s!r}, {a!r})")
-                entry = row_doc[a]
-                if isinstance(entry, dict):
-                    raise SchemaError(
-                        f"rewards[{s!r}][{a!r}] maps successors to rewards; "
-                        "rewards must be a single number per (state, action)"
-                    )
-                rewards[i, j] = _as_number(
-                    entry, f"rewards[{s!r}][{a!r}]", err=NonFiniteRewardError
-                )
-
+    transitions = _grid(doc["transitions"], states, actions, "transitions", transition_row)
+    rewards = np.zeros((len(states), len(actions)))
+    if "rewards" in doc:  # present unless require_rewards is false
+        rewards = table_from_dict(states, actions, doc["rewards"])
     return make_mdp(states, actions, doc["gamma"], transitions, rewards)
-
-
-def validate_dynamics(doc):
-    """Like validate_mdp but the rewards key may be omitted (defaults to 0)."""
-    return validate_mdp(doc, require_rewards=False)
 
 
 def mdp_to_dict(mdp):
@@ -359,7 +335,8 @@ def mdp_to_dict(mdp):
     }
 
 
-def _load_doc(path):
+def load_json(path):
+    """Parse a UTF-8 JSON file; malformed JSON raises SchemaError."""
     with open(path, "r", encoding="utf-8") as fh:
         try:
             return json.load(fh)
@@ -369,12 +346,12 @@ def _load_doc(path):
 
 def load_mdp(path):
     """Read and validate an MDP JSON file."""
-    return validate_mdp(_load_doc(path))
+    return validate_mdp(load_json(path))
 
 
 def load_dynamics(path):
-    """Read an MDP JSON file whose rewards key is optional."""
-    return validate_dynamics(_load_doc(path))
+    """Read an MDP JSON file whose rewards key is optional (defaults to 0)."""
+    return validate_mdp(load_json(path), require_rewards=False)
 
 
 def step(mdp, state, action, rng):
@@ -392,6 +369,14 @@ def step(mdp, state, action, rng):
     return float(mdp.rewards[s, a]), mdp.states[nxt]
 
 
+def expectations(mdp, probs):
+    """Expected reward R_pi (S,) and state chain P_pi (S, S) of an (S, A)
+    action-probability array, or of each policy in a (K, S, A) stack."""
+    r_pi = (probs * mdp.rewards).sum(axis=-1)
+    p_pi = np.einsum("...sa,saz->...sz", probs, mdp.transitions)
+    return r_pi, p_pi
+
+
 def policy_expectations(mdp, policy):
     """Per-state expected reward and the policy-induced state chain (R_pi, P_pi)."""
     if policy.kind == "deterministic":
@@ -401,12 +386,9 @@ def policy_expectations(mdp, policy):
             raise ValidationError("policy refers to an out-of-range action")
         idx = np.arange(mdp.n_states)
         return mdp.rewards[idx, policy.actions], mdp.transitions[idx, policy.actions]
-    probs = policy.matrix(mdp.n_actions)
-    if probs.shape[0] != mdp.n_states:
-        raise ValidationError("policy does not cover every state exactly once")
-    r_pi = (probs * mdp.rewards).sum(axis=1)
-    p_pi = np.einsum("sa,saz->sz", probs, mdp.transitions)
-    return r_pi, p_pi
+    if policy.probs.shape != (mdp.n_states, mdp.n_actions):
+        raise ValidationError("policy does not match the (state, action) grid")
+    return expectations(mdp, policy.probs)
 
 
 def policy_evaluate(mdp, policy):

@@ -143,16 +143,6 @@ def classify_schedule(schedule):
     )
 
 
-@dataclass(frozen=True, eq=False)
-class VisitCounter:
-    """Per-pair update counts; the total equals the number of learning steps."""
-
-    counts: np.ndarray
-
-    def total(self):
-        return int(self.counts.sum())
-
-
 @dataclass(frozen=True)
 class QLearnConfig:
     """Run parameters for a Q-learning experiment.
@@ -202,9 +192,12 @@ class Checkpoint:
 
 @dataclass(frozen=True, eq=False)
 class ConvergenceTrace:
+    """A run's checkpoints, final table and max |Q|; ``visits`` is the (S, A)
+    int64 array of per-pair update counts, which sums to the step count."""
+
     checkpoints: tuple
     q_final: QTable
-    visits: VisitCounter
+    visits: np.ndarray
     max_abs_q: float
 
 
@@ -308,7 +301,7 @@ def q_learning_run(mdp, config, oracle):
     return ConvergenceTrace(
         checkpoints=tuple(checkpoints),
         q_final=QTable(np.array(q)),
-        visits=VisitCounter(np.array(visits, dtype=np.int64)),
+        visits=np.array(visits, dtype=np.int64),
         max_abs_q=max_abs,
     )
 

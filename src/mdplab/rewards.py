@@ -12,15 +12,18 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .mdp import NonFiniteRewardError, SchemaError, ValidationError, with_rewards
+from .mdp import (
+    GridMismatchError,
+    NonFiniteRewardError,
+    SchemaError,
+    ValidationError,
+    table_from_dict,
+    with_rewards,
+)
 from .solve import value_iteration
 
 ARGMAX_TOL = 1e-7
 SOLVE_EPSILON = 1e-8
-
-
-class GridMismatchError(ValidationError):
-    """A reward table does not cover the (state, action) grid."""
 
 
 class NonMonotoneFilterError(ValidationError):
@@ -32,13 +35,19 @@ class UtilityFilter:
     """Piecewise-linear monotone map given by (input, output) knots.
 
     Inputs must be strictly increasing and outputs nondecreasing; beyond the
-    first and last knots the end segments continue linearly.
+    first and last knots the end segments continue linearly, so their slopes
+    must be finite.
     """
 
     knots: tuple
 
     def __post_init__(self):
-        knots = tuple((float(x), float(y)) for x, y in self.knots)
+        try:
+            knots = tuple((float(x), float(y)) for x, y in self.knots)
+        except (TypeError, ValueError, OverflowError):
+            raise NonMonotoneFilterError(
+                "filter knots must be (input, output) number pairs"
+            ) from None
         if len(knots) < 2:
             raise NonMonotoneFilterError("a filter needs at least 2 knots")
         xs = [x for x, _ in knots]
@@ -49,6 +58,10 @@ class UtilityFilter:
             raise NonMonotoneFilterError("knot inputs must be strictly increasing")
         if any(b < a for a, b in zip(ys, ys[1:])):
             raise NonMonotoneFilterError("knot outputs must be nondecreasing")
+        slopes = [(ys[1] - ys[0]) / (xs[1] - xs[0]),
+                  (ys[-1] - ys[-2]) / (xs[-1] - xs[-2])]
+        if not all(np.isfinite(slopes)):
+            raise NonMonotoneFilterError("end-segment slopes must be finite")
         object.__setattr__(self, "knots", knots)
 
     def apply(self, values):
@@ -85,7 +98,10 @@ class RewardLevel:
             raise GridMismatchError(f"level {self.name!r} table must be (S, A)")
         if not np.all(np.isfinite(table)):
             raise NonFiniteRewardError(f"level {self.name!r} has non-finite rewards")
-        weight = float(self.weight)
+        try:
+            weight = float(self.weight)
+        except (TypeError, ValueError, OverflowError):
+            raise ValidationError(f"level {self.name!r} weight must be a number") from None
         if not np.isfinite(weight) or weight < 0.0:
             raise ValidationError(f"level {self.name!r} weight must be >= 0")
         table = table.copy()
@@ -126,37 +142,6 @@ def _composed(levels, override=None):
 def compose_reward(hierarchy):
     """Weighted sum of the filtered level tables: R = sum_l w_l f_l(T_l)."""
     return _composed(hierarchy.levels)
-
-
-def table_from_dict(states, actions, doc):
-    """Reward table from a {state: {action: number}} document."""
-    if not isinstance(doc, dict):
-        raise GridMismatchError("reward table must be an object keyed by state")
-    for key in doc:
-        if key not in states:
-            raise GridMismatchError(f"reward table mentions unknown state {key!r}")
-    table = np.zeros((len(states), len(actions)))
-    for i, s in enumerate(states):
-        if s not in doc:
-            raise GridMismatchError(f"reward table misses state {s!r}")
-        row = doc[s]
-        if not isinstance(row, dict):
-            raise GridMismatchError(f"reward table [{s!r}] must be an object")
-        for key in row:
-            if key not in actions:
-                raise GridMismatchError(
-                    f"reward table [{s!r}] mentions unknown action {key!r}"
-                )
-        for j, a in enumerate(actions):
-            if a not in row:
-                raise GridMismatchError(f"reward table misses ({s!r}, {a!r})")
-            value = row[a]
-            if isinstance(value, bool) or not isinstance(value, (int, float)):
-                raise GridMismatchError(f"reward [{s!r}][{a!r}] must be a number")
-            if not np.isfinite(value):
-                raise NonFiniteRewardError(f"reward [{s!r}][{a!r}] is not finite")
-            table[i, j] = float(value)
-    return table
 
 
 def hierarchy_from_dict(doc, states, actions):

@@ -11,7 +11,7 @@ from bisect import bisect_right
 import numpy as np
 
 from mdplab.mdp import QTable, ValidationError
-from mdplab.qlearn import Checkpoint, ConvergenceTrace, VisitCounter
+from mdplab.qlearn import Checkpoint, ConvergenceTrace
 
 _CHUNK = 1 << 18
 
@@ -94,7 +94,7 @@ def reference_q_learning_run(mdp, config, oracle):
     return ConvergenceTrace(
         checkpoints=tuple(checkpoints),
         q_final=QTable(np.array(q)),
-        visits=VisitCounter(np.array(visits, dtype=np.int64)),
+        visits=np.array(visits, dtype=np.int64),
         max_abs_q=max_abs,
     )
 
@@ -108,6 +108,6 @@ def trace_bits(trace):
             for cp in trace.checkpoints
         ],
         "q_final": [[v.hex() for v in row] for row in trace.q_final.values.tolist()],
-        "visits": trace.visits.counts.tolist(),
+        "visits": trace.visits.tolist(),
         "max_abs_q": float(trace.max_abs_q).hex(),
     }

@@ -85,6 +85,17 @@ class TestSolveCommand:
         assert proc.stderr.startswith("error: value iteration overflowed")
         assert proc.stderr.count("\n") == 1
 
+    def test_gamma_near_one_exits_2(self, tmp_path):
+        # about 3e7 sweeps would be needed; the timeout catches a long run
+        doc = mdp_to_dict(stay_go_mdp())
+        doc["gamma"] = 0.999999
+        path = write_json(tmp_path, "slow.json", doc)
+        proc = run_python(["-m", "mdplab", "solve", "--mdp", path], timeout=30)
+        assert proc.returncode == 2
+        assert proc.stdout == ""
+        assert proc.stderr.startswith("error: value iteration may need")
+        assert proc.stderr.count("\n") == 1
+
     def test_unparseable_json_exits_2(self, tmp_path, capsys):
         path = tmp_path / "broken.json"
         path.write_text("{not json")
@@ -146,6 +157,19 @@ class TestQlearnCommand:
         assert run(argv) == 0
         second = capsys.readouterr().out
         assert first == second
+
+    def test_overflowing_oracle_exits_2(self, tmp_path):
+        # the exact oracle's values overflow, so there is nothing to learn
+        # against: no numpy warning, no rows, one error line
+        doc = mdp_to_dict(stay_go_mdp())
+        doc["rewards"]["s1"]["stay"] = 1.7e308
+        path = write_json(tmp_path, "huge.json", doc)
+        proc = run_python(["-m", "mdplab", "qlearn", "--mdp", path, "--steps", "2000",
+                           "--checkpoint-every", "500"])
+        assert proc.returncode == 2
+        assert proc.stdout == ""
+        assert proc.stderr.startswith("error: values overflow")
+        assert proc.stderr.count("\n") == 1
 
     def test_rejects_bad_steps(self, stay_go_path, capsys):
         assert run(["qlearn", "--mdp", stay_go_path, "--steps", "0"]) == 2

@@ -87,5 +87,5 @@ def test_draw_above_a_row_total_below_one_lands_on_the_last_state(monkeypatch):
                           epsilon=0.0, checkpoint_every=1, start="s0")
     monkeypatch.setattr(np.random, "default_rng", _TopDraws)
     trace = q_learning_run(mdp, config, oracle)
-    assert trace.visits.counts.tolist() == [[1], [4]]
+    assert trace.visits.tolist() == [[1], [4]]
     assert trace_bits(trace) == trace_bits(reference_q_learning_run(mdp, config, oracle))

@@ -50,6 +50,9 @@ class TestUtilityFilter:
             ((1.0, 0.0), (0.0, 1.0)),
             ((0.0, 1.0), (1.0, 0.0)),
             ((0.0, 0.0), (1.0, float("nan"))),
+            ((0.0, 0.0), (1e-300, 1e300)),  # infinite end-segment slope
+            ((0.0, 0.0), (1.0, 0.5), (1.0 + 1e-15, 1e300)),
+            ((0.0, "x"), (1.0, 1.0)),
         ],
     )
     def test_malformed_knots(self, knots):
@@ -79,6 +82,13 @@ class TestUtilityFilter:
                 )
             )
         )
+        slopes = [(ys[1] - ys[0]) / (xs[1] - xs[0]),
+                  (ys[-1] - ys[-2]) / (xs[-1] - xs[-2])]
+        if not all(np.isfinite(slopes)):
+            # knots a subnormal distance apart: the end segment is too steep
+            with pytest.raises(NonMonotoneFilterError):
+                UtilityFilter(tuple(zip(xs, ys)))
+            return
         filt = UtilityFilter(tuple(zip(xs, ys)))
         lo, hi = min(x, y), max(x, y)
         assert filt.apply(lo) <= filt.apply(hi) + 1e-12

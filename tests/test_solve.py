@@ -2,16 +2,22 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
+import mdplab.solve
 from mdplab import (
     Policy,
+    SweepLimitError,
     ValidationError,
+    ValueOverflowError,
     bellman_backup,
     make_mdp,
     policy_evaluate,
     policy_iteration,
     random_mdp,
+    stay_go_mdp,
     value_iteration,
     verify_deterministic_optimality,
     with_rewards,
@@ -52,6 +58,37 @@ class TestValueIteration:
         with pytest.raises(ValidationError):
             value_iteration(stay_go, 0.0)
 
+    def test_gamma_near_one_is_rejected_before_sweeping(self):
+        # the contraction bound allows about 3e7 sweeps here
+        with pytest.raises(SweepLimitError, match="may need"):
+            value_iteration(stay_go_mdp(0.999999), 1e-8)
+
+    def test_loop_stops_at_the_sweep_cap(self, stay_go, monkeypatch):
+        # with the up-front bound out of the way, a run that has not
+        # converged after MAX_SWEEPS sweeps still ends with an error
+        monkeypatch.setattr(mdplab.solve, "_sweep_bound", lambda *args: 1)
+        monkeypatch.setattr(mdplab.solve, "MAX_SWEEPS", 5)
+        with pytest.raises(SweepLimitError, match="did not converge in 5 sweeps"):
+            value_iteration(stay_go, 1e-8)
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        gamma=st.sampled_from([0.1, 0.5, 0.9, 0.99]),
+        scale=st.floats(1e-6, 1e6),
+        rel=st.floats(1e-6, 1.0),
+    )
+    def test_sweep_bound_covers_the_actual_sweeps(self, seed, gamma, scale, rel):
+        # the bound is exact-arithmetic; epsilon is tied to the reward scale
+        # so the stopping threshold stays far above the rounding of the values
+        gen = np.random.default_rng(seed)
+        mdp = random_mdp(int(gen.integers(1, 8)), int(gen.integers(1, 4)), gamma, gen)
+        mdp = with_rewards(mdp, scale * mdp.rewards)
+        epsilon = rel * scale
+        threshold = epsilon * (1.0 - gamma) / (2.0 * gamma)
+        bound = mdplab.solve._sweep_bound(gamma, mdp.reward_bound, threshold)
+        assert value_iteration(mdp, epsilon).iterations <= bound
+
 
 class TestPolicyIteration:
     def test_stay_go_matches_value_iteration(self, stay_go):
@@ -76,6 +113,11 @@ class TestPolicyIteration:
         mdp = make_mdp(("s0", "s1"), ("a0", "a1"), 0.5, t, r)
         res = policy_iteration(mdp)
         assert np.array_equal(res.pi_star.actions, [0, 0])
+
+    def test_overflowing_values_raise(self, stay_go):
+        mdp = with_rewards(stay_go, [[0.0, 0.0], [1.7e308, 0.0]])
+        with pytest.raises(ValueOverflowError, match="values overflow"):
+            policy_iteration(mdp)
 
     def test_greedy_policy_evaluates_to_v_star(self, rng):
         for _ in range(10):
