@@ -7,8 +7,11 @@ stochastic subcommands derive their randomness from the global ``--seed``
 (default 0, must be >= 0) through a single PCG64 stream.
 
 Exit codes: 0 success, 1 usage error, 2 input validation or I/O error
-(including rewards so large for gamma that the exact values overflow, a gamma
-so close to 1 that value iteration would need over 10**6 sweeps, and filter
+(including a file that is not UTF-8 or nests too deeply to parse, a string or
+boolean where a document needs a number, rewards so large for gamma that the
+exact values overflow or so large that a policy-gradient norm overflows, a
+gamma so close to 1 that value iteration would need over 10**6 sweeps, a
+policy iteration that does not stabilize in 10**4 iterations, and filter
 knots whose end segments have infinite slope), 3 schedule fails the
 divergent/finite-sum conditions, 4 schedule indeterminate, 5 theorem-hypothesis
 violation (reducible chain or singular system).
@@ -29,7 +32,7 @@ from .gradient import (
     softmax_policy,
     stationary_distribution,
 )
-from .mdp import ValidationError, load_dynamics, load_json, load_mdp, table_from_dict
+from .mdp import ValidationError, labeled, load_dynamics, load_json, load_mdp, table_from_dict
 from .qlearn import LearningRateSchedule, QLearnConfig, classify_schedule, q_learning_run
 from .rewards import compare_policies, hierarchy_from_dict, sweep_weights
 from .solve import policy_iteration, value_iteration
@@ -90,6 +93,13 @@ def _add_schedule_flags(parser):
     parser.add_argument("--table", default=None, help="comma-separated rates")
 
 
+def _floats(text, what):
+    try:
+        return [float(v) for v in text.split(",")]
+    except ValueError:
+        raise ValidationError(f"cannot parse {what} {text!r}") from None
+
+
 def _schedule_from_args(args):
     if args.family == "harmonic":
         return LearningRateSchedule.harmonic(args.p)
@@ -97,11 +107,7 @@ def _schedule_from_args(args):
         return LearningRateSchedule.constant(args.c)
     if args.table is None:
         raise ValidationError("--family table requires --table")
-    try:
-        values = [float(v) for v in args.table.split(",")]
-    except ValueError:
-        raise ValidationError(f"cannot parse rate table {args.table!r}") from None
-    return LearningRateSchedule.from_table(values)
+    return LearningRateSchedule.from_table(_floats(args.table, "rate table"))
 
 
 def _build_parser():
@@ -201,14 +207,7 @@ def _cmd_pg(args):
         records = [(k, js[k], grad_norms[k]) for k in range(len(grad_norms))]
         emit_csv(records, ("iter", "J", "grad_norm"), args.out)
     mu = stationary_distribution(mdp, softmax_policy(theta))
-    summary = {
-        "theta": {
-            s: {a: float(t) for a, t in zip(mdp.actions, row)}
-            for s, row in zip(mdp.states, theta)
-        },
-        "mu": {s: float(m) for s, m in zip(mdp.states, mu)},
-        "j": float(js[-1]),
-    }
+    summary = {"theta": labeled(mdp, theta), "mu": labeled(mdp, mu), "j": float(js[-1])}
     if args.check:
         report = gradient_check(mdp, theta)
         summary["gradient_check"] = {
@@ -231,11 +230,7 @@ def _cmd_compare(args):
 def _cmd_sweep(args):
     dynamics = load_dynamics(args.dynamics)
     hierarchy = hierarchy_from_dict(load_json(args.hierarchy), dynamics.states, dynamics.actions)
-    try:
-        grid = [float(v) for v in args.grid.split(",")]
-    except ValueError:
-        raise ValidationError(f"cannot parse weight grid {args.grid!r}") from None
-    rows = sweep_weights(dynamics, hierarchy, args.level, grid)
+    rows = sweep_weights(dynamics, hierarchy, args.level, _floats(args.grid, "weight grid"))
     emit_csv(rows, ("weight", "divergence"), args.out)
     return 0
 

@@ -13,6 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .mdp import Policy, QTable, ValidationError, expectations, policy_expectations
+from .solve import ValueOverflowError
 
 FD_STEP = 1e-5
 REL_FLOOR = 1e-8
@@ -203,7 +204,8 @@ def ascent_trace(mdp, theta0, step_size, iters):
     of the iters gradients applied.  If the induced chain becomes reducible
     mid-run (softmax rows can underflow to exact zeros), the raised
     ReducibleChainError carries the partial trace as ``j_trace`` and the
-    last parameters as ``theta``.
+    last parameters as ``theta``.  A gradient whose norm is not finite
+    raises ValueOverflowError before its step is taken.
     """
     step_size = float(step_size)
     if not step_size > 0.0:
@@ -214,10 +216,18 @@ def ascent_trace(mdp, theta0, step_size, iters):
     js = []
     grad_norms = []
     try:
-        for _ in range(int(iters)):
+        for k in range(int(iters)):
             grad, j = _gradient(mdp, theta)
+            # An overflow is reported by the finiteness check below, not as a warning.
+            with np.errstate(over="ignore"):
+                norm = float(np.sqrt((grad * grad).sum()))
+            if not np.isfinite(norm):
+                raise ValueOverflowError(
+                    f"the gradient norm overflows at iteration {k}; "
+                    "rewards are too large for an ascent step"
+                )
             js.append(j)
-            grad_norms.append(float(np.sqrt((grad * grad).sum())))
+            grad_norms.append(norm)
             theta = theta + step_size * grad
         js.append(average_reward(mdp, theta))
     except ReducibleChainError as exc:

@@ -14,8 +14,6 @@ import numpy as np
 
 ROW_SUM_TOL = 1e-9
 
-_TOP_KEYS = ("states", "actions", "gamma", "transitions", "rewards")
-
 
 class ValidationError(ValueError):
     """Base class for document and input validation failures."""
@@ -137,10 +135,7 @@ class Policy:
     def as_dict(self, mdp):
         if self.kind == "deterministic":
             return {s: mdp.actions[a] for s, a in zip(mdp.states, self.actions)}
-        return {
-            s: {a: float(p) for a, p in zip(mdp.actions, row)}
-            for s, row in zip(mdp.states, self.probs)
-        }
+        return labeled(mdp, self.probs)
 
 
 @dataclass(frozen=True, eq=False)
@@ -153,23 +148,19 @@ class ValueFunction:
         object.__setattr__(self, "values", _frozen(self.values))
 
     def as_dict(self, mdp):
-        return {s: float(v) for s, v in zip(mdp.states, self.values)}
+        return labeled(mdp, self.values)
 
 
-@dataclass(frozen=True, eq=False)
-class QTable:
+class QTable(ValueFunction):
     """Action values indexed (state, action)."""
 
-    values: np.ndarray
 
-    def __post_init__(self):
-        object.__setattr__(self, "values", _frozen(self.values))
-
-    def as_dict(self, mdp):
-        return {
-            s: {a: float(q) for a, q in zip(mdp.actions, row)}
-            for s, row in zip(mdp.states, self.values)
-        }
+def labeled(mdp, array):
+    """JSON-ready {state: x} of an (S,) array, or {state: {action: x}} of an
+    (S, A) array, keyed by the MDP's names; entries are Python numbers."""
+    if array.ndim == 1:
+        return dict(zip(mdp.states, array.tolist()))
+    return {s: dict(zip(mdp.actions, row)) for s, row in zip(mdp.states, array.tolist())}
 
 
 def _check_names(names, what):
@@ -183,7 +174,9 @@ def _check_names(names, what):
     return tuple(names)
 
 
-def _as_number(value, where, err=SchemaError):
+def as_number(value, where, err=SchemaError):
+    """The number rule of every document: an int or a float, not a bool
+    and not a string, returned as a float; anything else raises ``err``."""
     # bool is an int subclass; JSON true/false is not a number here
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise err(f"{where} must be a number, got {value!r}")
@@ -193,15 +186,18 @@ def _as_number(value, where, err=SchemaError):
         raise err(f"{where} is too large for a float") from None
 
 
-def _check_keys(obj, names, where):
-    if not isinstance(obj, dict):
-        raise SchemaError(f"{where} must be an object keyed by name")
-    unknown = [key for key in obj if key not in names]
+def check_object(doc, required, optional, where, err=SchemaError):
+    """Check that ``doc`` is a JSON object holding every key of ``required``
+    and no key outside ``required`` and ``optional``.  A non-object raises
+    SchemaError; an unknown or missing key raises ``err``."""
+    if not isinstance(doc, dict):
+        raise SchemaError(f"{where} must be a JSON object")
+    unknown = [key for key in doc if key not in required and key not in optional]
     if unknown:
-        raise GridMismatchError(f"{where} has unknown keys {unknown}")
-    missing = [name for name in names if name not in obj]
+        raise err(f"{where} has unknown keys {unknown}")
+    missing = [key for key in required if key not in doc]
     if missing:
-        raise GridMismatchError(f"{where} has no entries for {missing}")
+        raise err(f"{where} is missing {missing}")
 
 
 def _grid(doc, states, actions, what, entry):
@@ -211,9 +207,9 @@ def _grid(doc, states, actions, what, entry):
     entry is parsed by ``entry(value, where)``.  Returns the parsed entries
     as an (S, A, ...) float array.
     """
-    _check_keys(doc, states, what)
+    check_object(doc, states, (), what, GridMismatchError)
     for s in states:
-        _check_keys(doc[s], actions, f"{what}[{s!r}]")
+        check_object(doc[s], actions, (), f"{what}[{s!r}]", GridMismatchError)
     return np.array(
         [[entry(doc[s][a], f"{what}[{s!r}][{a!r}]") for a in actions] for s in states],
         dtype=float,
@@ -226,7 +222,7 @@ def _reward_entry(value, where):
             f"{where} maps successors to rewards; "
             "rewards must be a single number per (state, action)"
         )
-    value = _as_number(value, where, err=NonFiniteRewardError)
+    value = as_number(value, where, err=NonFiniteRewardError)
     if not np.isfinite(value):
         raise NonFiniteRewardError(f"{where} is not finite")
     return value
@@ -241,18 +237,18 @@ def make_mdp(states, actions, gamma, transitions, rewards):
     """Build a validated Mdp from arrays, computing the reward bound."""
     states = _check_names(states, "states")
     actions = _check_names(actions, "actions")
-    gamma = _as_number(gamma, "gamma", err=GammaRangeError)
+    gamma = as_number(gamma, "gamma", err=GammaRangeError)
     if not (0.0 <= gamma < 1.0):
         raise GammaRangeError(f"gamma must satisfy 0 <= gamma < 1, got {gamma}")
     n_s, n_a = len(states), len(actions)
     t = np.asarray(transitions, dtype=float)
     r = np.asarray(rewards, dtype=float)
     if t.shape != (n_s, n_a, n_s):
-        raise MissingEntryError(
+        raise GridMismatchError(
             f"transitions must have shape {(n_s, n_a, n_s)}, got {t.shape}"
         )
     if r.shape != (n_s, n_a):
-        raise MissingEntryError(f"rewards must have shape {(n_s, n_a)}, got {r.shape}")
+        raise GridMismatchError(f"rewards must have shape {(n_s, n_a)}, got {r.shape}")
     if not np.all(np.isfinite(t)):
         raise RowSumError("transition probabilities must be finite")
     if t.min() < 0.0 or t.max() > 1.0:
@@ -282,15 +278,10 @@ def validate_mdp(doc, require_rewards=True):
     zero; unknown keys are rejected.  Rewards are one number per (state,
     action); per-successor reward maps are rejected.
     """
-    if not isinstance(doc, dict):
-        raise SchemaError("MDP document must be a JSON object")
-    known = _TOP_KEYS if require_rewards else _TOP_KEYS[:-1]
-    unknown = sorted(set(doc) - set(_TOP_KEYS))
-    if unknown:
-        raise SchemaError(f"unknown top-level keys: {unknown}")
-    missing = sorted(set(known) - set(doc))
-    if missing:
-        raise SchemaError(f"missing top-level keys: {missing}")
+    required = ("states", "actions", "gamma", "transitions")
+    if require_rewards:
+        required += ("rewards",)
+    check_object(doc, required, ("rewards",), "MDP document")
     states = _check_names(doc["states"], "states")
     actions = _check_names(doc["actions"], "actions")
     index = {s: k for k, s in enumerate(states)}
@@ -302,7 +293,7 @@ def validate_mdp(doc, require_rewards=True):
         for nxt, p in entry.items():
             if nxt not in index:
                 raise SchemaError(f"{where} mentions unknown state {nxt!r}")
-            row[index[nxt]] = _as_number(p, f"{where}[{nxt!r}]", err=RowSumError)
+            row[index[nxt]] = as_number(p, f"{where}[{nxt!r}]", err=RowSumError)
         return row
 
     transitions = _grid(doc["transitions"], states, actions, "transitions", transition_row)
@@ -314,33 +305,29 @@ def validate_mdp(doc, require_rewards=True):
 
 def mdp_to_dict(mdp):
     """Serializable document for an Mdp; zero-probability targets are omitted."""
-    transitions = {}
-    for i, s in enumerate(mdp.states):
-        transitions[s] = {}
-        for j, a in enumerate(mdp.actions):
-            row = mdp.transitions[i, j]
-            transitions[s][a] = {
-                nxt: float(p) for nxt, p in zip(mdp.states, row) if p != 0.0
-            }
-    rewards = {
-        s: {a: float(r) for a, r in zip(mdp.actions, row)}
-        for s, row in zip(mdp.states, mdp.rewards)
+    transitions = {
+        s: {
+            a: {nxt: p for nxt, p in zip(mdp.states, row) if p != 0.0}
+            for a, row in zip(mdp.actions, rows)
+        }
+        for s, rows in zip(mdp.states, mdp.transitions.tolist())
     }
     return {
         "states": list(mdp.states),
         "actions": list(mdp.actions),
         "gamma": mdp.gamma,
         "transitions": transitions,
-        "rewards": rewards,
+        "rewards": labeled(mdp, mdp.rewards),
     }
 
 
 def load_json(path):
-    """Parse a UTF-8 JSON file; malformed JSON raises SchemaError."""
+    """Parse a UTF-8 JSON file; a file that is not UTF-8, not JSON, or
+    nested too deeply to parse raises SchemaError."""
     with open(path, "r", encoding="utf-8") as fh:
         try:
             return json.load(fh)
-        except json.JSONDecodeError as exc:
+        except (json.JSONDecodeError, UnicodeDecodeError, RecursionError) as exc:
             raise SchemaError(f"{path}: not valid JSON ({exc})") from exc
 
 

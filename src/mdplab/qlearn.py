@@ -17,6 +17,7 @@ import numpy as np
 from .mdp import QTable, ValidationError
 
 _CHUNK = 1 << 18
+OPTIMAL_SET_TOL = 1e-9
 
 
 class NegativeRateError(ValidationError):
@@ -236,7 +237,7 @@ def q_learning_run(mdp, config, oracle):
     if q_star.shape != (n_s, n_a):
         raise ValidationError("oracle was not computed on this MDP")
     star_sets = [
-        frozenset(np.nonzero(row >= row.max() - 1e-9)[0].tolist()) for row in q_star
+        frozenset(np.nonzero(row >= row.max() - OPTIMAL_SET_TOL)[0].tolist()) for row in q_star
     ]
     q_star = q_star.tolist()
     # Each row's last cumulative entry is dropped, so bisect_right returns at

@@ -17,6 +17,8 @@ from .mdp import (
     NonFiniteRewardError,
     SchemaError,
     ValidationError,
+    as_number,
+    check_object,
     table_from_dict,
     with_rewards,
 )
@@ -43,11 +45,13 @@ class UtilityFilter:
 
     def __post_init__(self):
         try:
-            knots = tuple((float(x), float(y)) for x, y in self.knots)
-        except (TypeError, ValueError, OverflowError):
-            raise NonMonotoneFilterError(
-                "filter knots must be (input, output) number pairs"
-            ) from None
+            pairs = [(x, y) for x, y in self.knots]
+        except (TypeError, ValueError):
+            raise NonMonotoneFilterError("filter knots must be (input, output) pairs") from None
+        knots = tuple(
+            tuple(as_number(v, "a filter knot", NonMonotoneFilterError) for v in pair)
+            for pair in pairs
+        )
         if len(knots) < 2:
             raise NonMonotoneFilterError("a filter needs at least 2 knots")
         xs = [x for x, _ in knots]
@@ -93,15 +97,14 @@ class RewardLevel:
     filter: UtilityFilter = None
 
     def __post_init__(self):
+        if not isinstance(self.name, str):
+            raise SchemaError(f"a level name must be a string, got {self.name!r}")
         table = np.asarray(self.table, dtype=float)
         if table.ndim != 2:
             raise GridMismatchError(f"level {self.name!r} table must be (S, A)")
         if not np.all(np.isfinite(table)):
             raise NonFiniteRewardError(f"level {self.name!r} has non-finite rewards")
-        try:
-            weight = float(self.weight)
-        except (TypeError, ValueError, OverflowError):
-            raise ValidationError(f"level {self.name!r} weight must be a number") from None
+        weight = as_number(self.weight, f"level {self.name!r} weight", ValidationError)
         if not np.isfinite(weight) or weight < 0.0:
             raise ValidationError(f"level {self.name!r} weight must be >= 0")
         table = table.copy()
@@ -146,34 +149,18 @@ def compose_reward(hierarchy):
 
 def hierarchy_from_dict(doc, states, actions):
     """Hierarchy from {"levels": [{"name", "weight", "rewards", "filter"?}]}."""
-    if not isinstance(doc, dict) or set(doc) != {"levels"}:
-        raise SchemaError('hierarchy document must have exactly the key "levels"')
+    check_object(doc, ("levels",), (), "hierarchy document")
     if not isinstance(doc["levels"], list):
         raise SchemaError("levels must be a list")
     levels = []
-    for entry in doc["levels"]:
-        if not isinstance(entry, dict):
-            raise SchemaError("each level must be an object")
-        unknown = sorted(set(entry) - {"name", "weight", "rewards", "filter"})
-        if unknown:
-            raise SchemaError(f"unknown level keys: {unknown}")
-        for key in ("name", "weight", "rewards"):
-            if key not in entry:
-                raise SchemaError(f"level is missing {key!r}")
-        filt = None
-        if "filter" in entry:
-            knots = entry["filter"]
-            if not isinstance(knots, list) or not all(
-                isinstance(k, list) and len(k) == 2 for k in knots
-            ):
-                raise SchemaError("a filter is a list of [input, output] pairs")
-            filt = UtilityFilter(tuple((k[0], k[1]) for k in knots))
+    for k, entry in enumerate(doc["levels"]):
+        check_object(entry, ("name", "weight", "rewards"), ("filter",), f"levels[{k}]")
         levels.append(
             RewardLevel(
-                name=str(entry["name"]),
+                name=entry["name"],
                 table=table_from_dict(states, actions, entry["rewards"]),
                 weight=entry["weight"],
-                filter=filt,
+                filter=UtilityFilter(entry["filter"]) if "filter" in entry else None,
             )
         )
     return RewardHierarchy(tuple(levels))
@@ -220,16 +207,6 @@ def _unit_scale(v):
     return (v - v.min()) / span
 
 
-def _grid_table(dynamics, table, name):
-    table = np.asarray(table, dtype=float)
-    shape = (dynamics.n_states, dynamics.n_actions)
-    if table.shape != shape:
-        raise GridMismatchError(
-            f"reward table {name} has shape {table.shape}, expected {shape}"
-        )
-    return table
-
-
 def _solve(dynamics, table):
     return value_iteration(with_rewards(dynamics, table), SOLVE_EPSILON)
 
@@ -264,8 +241,6 @@ def compare_policies(dynamics, reward_a, reward_b):
     Each induced MDP is solved to epsilon 1e-8; actions within 1e-7 of a
     state's best action value belong to its argmax set.
     """
-    reward_a = _grid_table(dynamics, reward_a, "A")
-    reward_b = _grid_table(dynamics, reward_b, "B")
     return _divergence(dynamics, _solve(dynamics, reward_a), _solve(dynamics, reward_b))
 
 
@@ -284,11 +259,7 @@ def sweep_weights(dynamics, hierarchy, level_index, grid):
         raise ValidationError("weight grid must be nonempty")
     if any(not np.isfinite(w) or w < 0.0 for w in grid):
         raise ValidationError("weights must be finite and >= 0")
-    # every recomposed table has the baseline's grid, so one check covers all
-    baseline = _grid_table(
-        dynamics, _composed(hierarchy.levels, override={level_index: 0.0}), "A"
-    )
-    sol_base = _solve(dynamics, baseline)
+    sol_base = _solve(dynamics, _composed(hierarchy.levels, override={level_index: 0.0}))
     out = []
     for w in grid:
         table = _composed(hierarchy.levels, override={level_index: w})

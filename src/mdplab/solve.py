@@ -25,12 +25,14 @@ MAX_POLICY_ITERATIONS = 10_000
 
 class ValueOverflowError(ValidationError):
     """Values left the floating-point range: the rewards are too large for
-    the discount factor."""
+    the discount factor, or for a policy-gradient step."""
 
 
 class SweepLimitError(ValidationError):
-    """Value iteration would need more than MAX_SWEEPS sweeps: gamma is too
-    close to 1, or epsilon too small, for the rewards."""
+    """A solver reached its iteration cap: value iteration would need more
+    than MAX_SWEEPS sweeps (gamma is too close to 1, or epsilon too small,
+    for the rewards), or policy iteration did not stabilize within
+    MAX_POLICY_ITERATIONS iterations."""
 
 
 def q_from_v(mdp, v):
@@ -143,7 +145,9 @@ def policy_iteration(mdp):
 
     Returns an exactly optimal deterministic stationary policy: at
     termination its evaluation is a fixed point of greedy improvement.
-    Raises ValueOverflowError when the optimal values are not finite.
+    Raises ValueOverflowError when the optimal values are not finite, and
+    SweepLimitError when MAX_POLICY_ITERATIONS iterations pass without a
+    stable policy.
     """
     acts = np.zeros(mdp.n_states, dtype=np.int64)
     v_prev = None
@@ -162,7 +166,9 @@ def policy_iteration(mdp):
             acts = greedy
             v_prev = v
         else:
-            raise RuntimeError("policy iteration failed to stabilize")
+            raise SweepLimitError(
+                f"policy iteration did not stabilize in {MAX_POLICY_ITERATIONS} iterations"
+            )
     return replace(_result_from_v(mdp, v, iterations), pi_star=Policy.deterministic(acts))
 
 

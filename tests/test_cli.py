@@ -1,9 +1,12 @@
 """Command-line behavior: outputs, exit codes, and file handling."""
 
+import contextlib
+import io
 import json
 import os
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import numpy as np
@@ -14,6 +17,7 @@ from hypothesis import strategies as st
 import mdplab
 from mdplab import ValidationError, mdp_to_dict, stay_go_dynamics, stay_go_mdp
 from mdplab.cli import emit_csv, run
+from test_documents import HIERARCHY_DOC, MDP_DOC, TABLE_DOC, mangled
 
 SRC = str(Path(mdplab.__file__).resolve().parents[1])
 
@@ -102,6 +106,18 @@ class TestSolveCommand:
         assert run(["solve", "--mdp", str(path)]) == 2
         assert capsys.readouterr().err.startswith("error:")
 
+    @pytest.mark.parametrize("content", [b"\xff\xfe{\x00}\x00", b"[" * 200_000],
+                             ids=["utf16-bom", "deep-nesting"])
+    def test_unreadable_json_exits_2(self, tmp_path, content):
+        # not UTF-8, or nested past the parser's recursion limit
+        path = tmp_path / "doc.json"
+        path.write_bytes(content)
+        proc = run_python(["-m", "mdplab", "solve", "--mdp", str(path)])
+        assert proc.returncode == 2
+        assert proc.stdout == ""
+        assert proc.stderr.startswith("error:")
+        assert proc.stderr.count("\n") == 1
+
 
 class TestCheckScheduleCommand:
     def test_valid_schedule_exits_0(self, capsys):
@@ -175,6 +191,15 @@ class TestQlearnCommand:
         assert run(["qlearn", "--mdp", stay_go_path, "--steps", "0"]) == 2
         assert capsys.readouterr().err.startswith("error:")
 
+    def test_policy_iteration_cap_exits_2(self, stay_go_path, monkeypatch, capsys):
+        # stay/go needs two policy iterations, so a cap of one is reached
+        monkeypatch.setattr(mdplab.solve, "MAX_POLICY_ITERATIONS", 1)
+        assert run(["qlearn", "--mdp", stay_go_path, "--steps", "10"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: policy iteration did not stabilize")
+        assert captured.err.count("\n") == 1
+
 
 class TestPgCommand:
     def test_json_summary_and_csv(self, stay_go_path, tmp_path, capsys):
@@ -203,6 +228,19 @@ class TestPgCommand:
         first = capsys.readouterr().out
         assert run(argv) == 0
         assert first == capsys.readouterr().out
+
+    def test_overflowing_gradient_exits_2(self, tmp_path):
+        # the gradient is finite (max |g| about 3.2e307) but its norm is not;
+        # a step along it would saturate the softmax into a reducible chain
+        doc = mdp_to_dict(stay_go_mdp())
+        doc["rewards"]["s1"]["stay"] = 1.7e308
+        path = write_json(tmp_path, "huge.json", doc)
+        proc = run_python(["-m", "mdplab", "pg", "--mdp", path, "--iters", "3"])
+        assert proc.returncode == 2
+        assert proc.stdout == ""
+        assert proc.stderr.startswith("error: the gradient norm overflows")
+        assert proc.stderr.count("\n") == 1
+        assert "RuntimeWarning" not in proc.stderr
 
     def test_reducible_chain_exits_5(self, tmp_path, capsys):
         doc = {
@@ -261,6 +299,26 @@ class TestCompareAndSweep:
                          "s1": {"stay": 0.0, "go": 0.0}}}]})
         assert run(["sweep", "--dynamics", dynamics_path, "--hierarchy", hierarchy,
                     "--level", "0", "--grid", "a,b"]) == 2
+
+
+    @pytest.mark.parametrize("key, value", [
+        ("weight", "1.0"),
+        ("weight", True),
+        ("filter", [["0", "0"], ["1", "1"]]),
+        ("name", ["x"]),
+    ])
+    def test_mistyped_hierarchy_exits_2(self, dynamics_path, tmp_path, capsys, key, value):
+        level = {"name": "solo", "weight": 1.0,
+                 "rewards": {"s0": {"stay": 0.0, "go": 0.0},
+                             "s1": {"stay": 0.0, "go": 0.0}}}
+        level[key] = value
+        hierarchy = write_json(tmp_path, "h.json", {"levels": [level]})
+        assert run(["sweep", "--dynamics", dynamics_path, "--hierarchy", hierarchy,
+                    "--level", "0", "--grid", "0,1"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error:")
+        assert captured.err.count("\n") == 1
 
 
 class TestUsageErrors:
@@ -342,3 +400,94 @@ class TestEmitCsv:
             for s, e, m in (line.split(",") for line in lines[1:])
         ]
         assert parsed == rows
+
+
+# Every document flag can name any of these files; the fuzz writes them per
+# example, except missing.json.  raw.json holds bytes that need not be UTF-8
+# or even JSON.
+FUZZ_FILES = ("mdp.json", "table.json", "hierarchy.json", "raw.json", "stay_go.json",
+              "missing.json")
+FUZZ_VALUES = {
+    "--mdp": FUZZ_FILES,
+    "--dynamics": FUZZ_FILES,
+    "--reward-a": FUZZ_FILES,
+    "--reward-b": FUZZ_FILES,
+    "--hierarchy": FUZZ_FILES,
+    "--out": ("out.csv", "no_such_dir/out.csv"),
+    "--epsilon": ("1e-8", "0.2", "0", "-1", "1e-300", "nan", "inf", "x"),
+    "--p": ("1", "0.6", "2", "0", "-1", "1e308", "nan", "x"),
+    "--c": ("0.5", "0", "1", "-0.5", "inf", "x"),
+    "--q-init": ("0", "-3", "1e308", "nan"),
+    "--step-size": ("0.1", "0", "-1", "1e308", "nan"),
+    "--table": ("0.5,0.25", "1,1,1", "2", "-1", "0.5,x", ""),
+    "--grid": ("0,1,2", "0", "-1", "1e308", "nan", "0,x", ""),
+    "--level": ("0", "1", "-1", "5", "x"),
+    "--family": ("harmonic", "constant", "table", "x"),
+    "--init": ("zeros", "gaussian", "x"),
+    "--start": ("uniform", "s0", "s1", "sX"),
+    "--checkpoint-every": ("1", "7", "0", "-3", "x"),
+    "--check": (None,),
+    "--help": (None,),
+}
+SCHEDULE_FLAGS = ("--family", "--p", "--c", "--table")
+# (required flags, optional flags) of each subcommand
+FUZZ_COMMANDS = {
+    "solve": (("--mdp",), ("--epsilon",)),
+    "qlearn": (("--mdp",), SCHEDULE_FLAGS + ("--epsilon", "--checkpoint-every",
+                                             "--q-init", "--start", "--out")),
+    "check-schedule": ((), SCHEDULE_FLAGS),
+    "pg": (("--mdp",), ("--init", "--step-size", "--check", "--out")),
+    "compare": (("--dynamics", "--reward-a", "--reward-b"), ()),
+    "sweep": (("--dynamics", "--hierarchy", "--level", "--grid"), ("--out",)),
+    "bogus": ((), ()),
+}
+raw_bytes = st.binary(max_size=40) | st.sampled_from([b"\xff\xfe{\x00}\x00", b"[" * 200_000])
+
+
+@st.composite
+def command_lines(draw):
+    """A subcommand with its required flags, some of its optional ones and,
+    now and then, a flag from anywhere; every flag value is fuzzed."""
+    argv = []
+    if draw(st.booleans()):
+        argv += ["--seed", draw(st.sampled_from(["0", "7", "-1", "x"]))]
+    command = draw(st.sampled_from(sorted(FUZZ_COMMANDS)))
+    required, optional = FUZZ_COMMANDS[command]
+    flags = list(required)
+    if optional:
+        flags += draw(st.lists(st.sampled_from(optional), max_size=4))
+    if draw(st.integers(0, 9)) == 0:
+        flags.append(draw(st.sampled_from(sorted(FUZZ_VALUES))))
+    argv.append(command)
+    for flag in draw(st.permutations(flags)):
+        value = draw(st.sampled_from(FUZZ_VALUES[flag]))
+        argv += [flag] if value is None else [flag, value]
+    # keep every example short: the last occurrence of a flag wins
+    if command == "qlearn":
+        argv += ["--steps", draw(st.sampled_from(["0", "1", "50", "-1"]))]
+    if command == "pg":
+        argv += ["--iters", draw(st.sampled_from(["0", "1", "5"]))]
+    return argv
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    argv=command_lines(),
+    mdp=mangled(MDP_DOC),
+    table=mangled(TABLE_DOC),
+    hierarchy=mangled(HIERARCHY_DOC),
+    raw=raw_bytes,
+)
+def test_run_never_raises(argv, mdp, table, hierarchy, raw):
+    with tempfile.TemporaryDirectory() as tmp:
+        for name, doc in (("mdp", mdp), ("table", table), ("hierarchy", hierarchy),
+                          ("stay_go", MDP_DOC)):
+            with open(os.path.join(tmp, f"{name}.json"), "w", encoding="utf-8") as fh:
+                json.dump(doc, fh)
+        with open(os.path.join(tmp, "raw.json"), "wb") as fh:
+            fh.write(raw)
+        argv = [os.path.join(tmp, a) if a.endswith((".json", ".csv")) else a for a in argv]
+        with contextlib.redirect_stdout(io.StringIO()), \
+                contextlib.redirect_stderr(io.StringIO()):
+            code = run(argv)
+    assert code in range(6)

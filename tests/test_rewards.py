@@ -59,6 +59,19 @@ class TestUtilityFilter:
         with pytest.raises(NonMonotoneFilterError):
             UtilityFilter(knots)
 
+    @pytest.mark.parametrize(
+        "knots",
+        [
+            ((0.0, 0.0, 0.0), (1.0, 1.0)),
+            (0.0, 1.0),
+            (("0", "0"), ("1", "1")),
+            ((False, 0.0), (1.0, 1.0)),
+        ],
+    )
+    def test_knots_must_be_number_pairs(self, knots):
+        with pytest.raises(NonMonotoneFilterError):
+            UtilityFilter(knots)
+
     @settings(max_examples=50, deadline=None)
     @given(
         data=st.data(),
@@ -149,6 +162,15 @@ class TestComposeReward:
             RewardLevel("bad", np.zeros((2, 2)), -1.0)
         with pytest.raises(ValidationError):
             RewardHierarchy((RewardLevel("zero", np.zeros((2, 2)), 0.0),))
+
+    @pytest.mark.parametrize("weight", ["1.0", True, None, [1.0]])
+    def test_weight_must_be_a_number(self, weight):
+        with pytest.raises(ValidationError):
+            RewardLevel("bad", np.zeros((2, 2)), weight)
+
+    def test_name_must_be_a_string(self):
+        with pytest.raises(SchemaError):
+            RewardLevel(["x"], np.zeros((2, 2)), 1.0)
 
 
 class TestComparePolicies:
@@ -295,6 +317,19 @@ class TestHierarchyParsing:
         doc = self.doc()
         del doc["levels"][0]["rewards"]["s1"]["go"]
         with pytest.raises(GridMismatchError):
+            hierarchy_from_dict(doc, ("s0", "s1"), ("stay", "go"))
+
+    @pytest.mark.parametrize("key, value", [
+        ("weight", "1.0"),
+        ("weight", True),
+        ("filter", [["0", "0"], ["1", "1"]]),
+        ("name", ["x"]),
+    ])
+    def test_mistyped_level_fields(self, key, value):
+        # the same number rule as MDP documents: no strings or booleans
+        doc = self.doc()
+        doc["levels"][1][key] = value
+        with pytest.raises(ValidationError):
             hierarchy_from_dict(doc, ("s0", "s1"), ("stay", "go"))
 
     def test_table_from_dict_rejects_unknown_names(self):
