@@ -34,6 +34,7 @@ from .mdp import (
     UnknownStateError,
     ValidationError,
     ValueFunction,
+    evaluate,
     expectations,
     load_dynamics,
     load_json,
@@ -41,6 +42,7 @@ from .mdp import (
     make_mdp,
     mdp_to_dict,
     policy_evaluate,
+    policy_probs,
     step,
     table_from_dict,
     validate_mdp,

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .mdp import Policy, QTable, ValidationError, expectations, policy_expectations
+from .mdp import Policy, QTable, ValidationError, expectations, policy_probs
 from .solve import ValueOverflowError
 
 FD_STEP = 1e-5
@@ -99,7 +99,7 @@ def stationary_distribution(mdp, policy):
     ReducibleChainError when the positive-probability graph is not strongly
     connected.
     """
-    _, p_pi = policy_expectations(mdp, policy)
+    _, p_pi = expectations(mdp, policy_probs(mdp, policy))
     return _stationary(p_pi)
 
 
@@ -110,7 +110,7 @@ def differential_q(mdp, policy, mu):
     mu . V = 0 into the otherwise rank-deficient Poisson system, then
     Q(s, a) = R(s, a) - J + P(.|s, a) . V.
     """
-    r_pi, p_pi = policy_expectations(mdp, policy)
+    r_pi, p_pi = expectations(mdp, policy_probs(mdp, policy))
     q, j = _differential(mdp, r_pi, p_pi, np.asarray(mu, dtype=float))
     return QTable(q), j
 
@@ -130,7 +130,7 @@ def _differential(mdp, r_pi, p_pi, mu):
 def _gradient(mdp, theta):
     """Exact gradient of J at theta, and J; R_pi and P_pi are built once."""
     policy = softmax_policy(theta)
-    r_pi, p_pi = policy_expectations(mdp, policy)
+    r_pi, p_pi = expectations(mdp, policy_probs(mdp, policy))
     mu = _stationary(p_pi)
     q, j = _differential(mdp, r_pi, p_pi, mu)
     v = (policy.probs * q).sum(axis=1)
@@ -139,7 +139,7 @@ def _gradient(mdp, theta):
 
 def average_reward(mdp, theta):
     """J(theta): stationary-average one-step reward of the softmax policy."""
-    r_pi, p_pi = policy_expectations(mdp, softmax_policy(theta))
+    r_pi, p_pi = expectations(mdp, policy_probs(mdp, softmax_policy(theta)))
     return float(_stationary(p_pi) @ r_pi)
 
 

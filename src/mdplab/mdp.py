@@ -364,22 +364,29 @@ def expectations(mdp, probs):
     return r_pi, p_pi
 
 
-def policy_expectations(mdp, policy):
-    """Per-state expected reward and the policy-induced state chain (R_pi, P_pi)."""
+def policy_probs(mdp, policy):
+    """(S, A) action probabilities of a policy on the MDP's grid; a
+    deterministic policy gives one-hot rows."""
     if policy.kind == "deterministic":
         if len(policy.actions) != mdp.n_states:
             raise ValidationError("policy does not cover every state exactly once")
         if policy.actions.size and policy.actions.max() >= mdp.n_actions:
             raise ValidationError("policy refers to an out-of-range action")
-        idx = np.arange(mdp.n_states)
-        return mdp.rewards[idx, policy.actions], mdp.transitions[idx, policy.actions]
+        return np.eye(mdp.n_actions)[policy.actions]
     if policy.probs.shape != (mdp.n_states, mdp.n_actions):
         raise ValidationError("policy does not match the (state, action) grid")
-    return expectations(mdp, policy.probs)
+    return policy.probs
+
+
+def evaluate(mdp, probs):
+    """Discounted values V (S,) of an (S, A) action-probability array, or
+    (K, S) of each policy in a (K, S, A) stack: one direct solve of
+    (I - gamma P_pi) V = R_pi per policy."""
+    r_pi, p_pi = expectations(mdp, probs)
+    system = np.eye(mdp.n_states) - mdp.gamma * p_pi
+    return np.linalg.solve(system, r_pi[..., None])[..., 0]
 
 
 def policy_evaluate(mdp, policy):
     """Unique fixed point of V = R_pi + gamma P_pi V, by a direct linear solve."""
-    r_pi, p_pi = policy_expectations(mdp, policy)
-    v = np.linalg.solve(np.eye(mdp.n_states) - mdp.gamma * p_pi, r_pi)
-    return ValueFunction(v)
+    return ValueFunction(evaluate(mdp, policy_probs(mdp, policy)))

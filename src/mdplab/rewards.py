@@ -22,10 +22,9 @@ from .mdp import (
     table_from_dict,
     with_rewards,
 )
-from .solve import value_iteration
+from .solve import policy_iteration
 
 ARGMAX_TOL = 1e-7
-SOLVE_EPSILON = 1e-8
 
 
 class NonMonotoneFilterError(ValidationError):
@@ -76,14 +75,16 @@ class UtilityFilter:
         scalar = values.ndim == 0
         flat = np.atleast_1d(values).astype(float)
         out = np.interp(flat, xs, ys)
-        lo = flat < xs[0]
-        if lo.any():
-            slope = (ys[1] - ys[0]) / (xs[1] - xs[0])
-            out[lo] = ys[0] + slope * (flat[lo] - xs[0])
-        hi = flat > xs[-1]
-        if hi.any():
-            slope = (ys[-1] - ys[-2]) / (xs[-1] - xs[-2])
-            out[hi] = ys[-1] + slope * (flat[hi] - xs[-1])
+        # A steep end segment extrapolates to +-inf, which callers check for.
+        with np.errstate(over="ignore"):
+            lo = flat < xs[0]
+            if lo.any():
+                slope = (ys[1] - ys[0]) / (xs[1] - xs[0])
+                out[lo] = ys[0] + slope * (flat[lo] - xs[0])
+            hi = flat > xs[-1]
+            if hi.any():
+                slope = (ys[-1] - ys[-2]) / (xs[-1] - xs[-2])
+                out[hi] = ys[-1] + slope * (flat[hi] - xs[-1])
         return float(out[0]) if scalar else out.reshape(values.shape)
 
 
@@ -135,10 +136,20 @@ class RewardHierarchy:
 
 def _composed(levels, override=None):
     total = np.zeros(levels[0].table.shape)
-    for i, level in enumerate(levels):
-        weight = level.weight if override is None or i not in override else override[i]
-        filtered = level.filter.apply(level.table) if level.filter else level.table
-        total = total + weight * filtered
+    # An overflow is reported by naming its level, not as a warning.
+    with np.errstate(over="ignore", invalid="ignore"):
+        for i, level in enumerate(levels):
+            weight = level.weight if override is None or i not in override else override[i]
+            filtered = level.filter.apply(level.table) if level.filter else level.table
+            weighted = weight * filtered
+            if not np.isfinite(weighted).all():
+                stage = "weighted" if np.isfinite(filtered).all() else "filtered"
+                raise NonFiniteRewardError(
+                    f"level {level.name!r}: the {stage} rewards overflow"
+                )
+            total = total + weighted
+    if not np.isfinite(total).all():
+        raise NonFiniteRewardError("the weighted sum of the levels overflows")
     return total
 
 
@@ -208,7 +219,7 @@ def _unit_scale(v):
 
 
 def _solve(dynamics, table):
-    return value_iteration(with_rewards(dynamics, table), SOLVE_EPSILON)
+    return policy_iteration(with_rewards(dynamics, table))
 
 
 def _divergence(dynamics, sol_a, sol_b):
@@ -238,8 +249,9 @@ def _divergence(dynamics, sol_a, sol_b):
 def compare_policies(dynamics, reward_a, reward_b):
     """Solve the dynamics under both reward tables and compare optimal actions.
 
-    Each induced MDP is solved to epsilon 1e-8; actions within 1e-7 of a
-    state's best action value belong to its argmax set.
+    Each induced MDP is solved exactly by policy iteration, so no sweep cap
+    limits gamma; actions within 1e-7 of a state's best action value belong
+    to its argmax set.
     """
     return _divergence(dynamics, _solve(dynamics, reward_a), _solve(dynamics, reward_b))
 

@@ -5,18 +5,11 @@ always broken toward the lowest action index.
 """
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
-from .mdp import (
-    Policy,
-    QTable,
-    ValidationError,
-    ValueFunction,
-    expectations,
-    policy_evaluate,
-)
+from .mdp import Policy, QTable, ValidationError, ValueFunction, evaluate
 
 DOMINANCE_SLACK = 1e-7
 MAX_SWEEPS = 1_000_000
@@ -141,35 +134,38 @@ def value_iteration(mdp, epsilon):
 
 
 def policy_iteration(mdp):
-    """Alternate exact evaluation and greedy improvement until the policy is stable.
+    """Alternate exact evaluation and greedy improvement until no state gains.
 
-    Returns an exactly optimal deterministic stationary policy: at
-    termination its evaluation is a fixed point of greedy improvement.
-    Raises ValueOverflowError when the optimal values are not finite, and
-    SweepLimitError when MAX_POLICY_ITERATIONS iterations pass without a
-    stable policy.
+    Every state moves to its lowest-index greedy action until no state's
+    gain max_a Q(s, a) - Q(s, pi(s)) exceeds 8 eps max|V| / (1 - gamma), the
+    rounding of the solve, so policies tied up to rounding cannot cycle.
+    pi_star is the lowest-index argmax of q_star.  Raises ValueOverflowError
+    as soon as a visited policy's values are not finite (which can happen
+    where V* is finite), and SweepLimitError after MAX_POLICY_ITERATIONS.
     """
     acts = np.zeros(mdp.n_states, dtype=np.int64)
-    v_prev = None
-    # An overflow is reported by _result_from_v, not as a warning.
+    one_hot = np.eye(mdp.n_actions)
+    states = np.arange(mdp.n_states)
+    rounding = 8.0 * np.finfo(float).eps / (1.0 - mdp.gamma)
+    # An overflow is reported by the finiteness checks, not as a warning.
     with np.errstate(over="ignore", invalid="ignore"):
         for iterations in range(1, MAX_POLICY_ITERATIONS + 1):
-            v = policy_evaluate(mdp, Policy.deterministic(acts)).values
-            greedy = q_from_v(mdp, v).argmax(axis=1)
-            if np.array_equal(greedy, acts):
-                break
-            # Guard against float ping-pong between equally good policies.
-            if v_prev is not None and np.abs(v - v_prev).max() < 1e-14:
-                acts = greedy
-                v = policy_evaluate(mdp, Policy.deterministic(acts)).values
+            v = evaluate(mdp, one_hot[acts])
+            if not np.isfinite(v).all():
+                raise ValueOverflowError(
+                    f"values overflow at policy iteration {iterations}; "
+                    f"rewards are too large for gamma {mdp.gamma}"
+                )
+            q = q_from_v(mdp, v)
+            greedy = q.argmax(axis=1)
+            if not (q.max(axis=1) - q[states, acts]).max() > rounding * np.abs(v).max():
                 break
             acts = greedy
-            v_prev = v
         else:
             raise SweepLimitError(
                 f"policy iteration did not stabilize in {MAX_POLICY_ITERATIONS} iterations"
             )
-    return replace(_result_from_v(mdp, v, iterations), pi_star=Policy.deterministic(acts))
+    return _result_from_v(mdp, v, iterations)
 
 
 @dataclass(frozen=True, eq=False)
@@ -200,13 +196,7 @@ def verify_deterministic_optimality(mdp, trials, rng, slack=DOMINANCE_SLACK):
         raise ValidationError("trials must be >= 1")
     solution = policy_iteration(mdp)
     v_star = solution.v_star.values
-    n_s, n_a = mdp.n_states, mdp.n_actions
-
-    probs = rng.dirichlet(np.ones(n_a), size=(trials, n_s))
-    r_pis, p_pis = expectations(mdp, probs)
-    systems = np.eye(n_s) - mdp.gamma * p_pis
-    values = np.linalg.solve(systems, r_pis[..., None])[..., 0]
-
+    values = evaluate(mdp, rng.dirichlet(np.ones(mdp.n_actions), size=(trials, mdp.n_states)))
     excess = values - v_star
     bad = np.argwhere(excess > slack)
     violations = tuple(

@@ -7,6 +7,7 @@ import os
 import subprocess
 import sys
 import tempfile
+import time
 from pathlib import Path
 
 import numpy as np
@@ -15,11 +16,26 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import mdplab
-from mdplab import ValidationError, mdp_to_dict, stay_go_dynamics, stay_go_mdp
+from mdplab import (
+    ValidationError,
+    mdp_to_dict,
+    random_mdp,
+    stay_go_dynamics,
+    stay_go_mdp,
+    with_rewards,
+)
 from mdplab.cli import emit_csv, run
 from test_documents import HIERARCHY_DOC, MDP_DOC, TABLE_DOC, mangled
 
 SRC = str(Path(mdplab.__file__).resolve().parents[1])
+
+# the individual level pays 1 for "stay", the humanity level 0.4 for "go"
+EGOISM_HIERARCHY = {"levels": [
+    {"name": "individual", "weight": 1.0,
+     "rewards": {"s0": {"stay": 1.0, "go": 0.0}, "s1": {"stay": 1.0, "go": 0.0}}},
+    {"name": "humanity", "weight": 0.0,
+     "rewards": {"s0": {"stay": 0.0, "go": 0.4}, "s1": {"stay": 0.0, "go": 0.4}}},
+]}
 
 
 def run_python(args, timeout=60):
@@ -187,6 +203,29 @@ class TestQlearnCommand:
         assert proc.stderr.startswith("error: values overflow")
         assert proc.stderr.count("\n") == 1
 
+    def test_oracle_with_tied_policies_exits_0(self, tmp_path, capsys):
+        # equally good policies whose values differ by rounding used to
+        # alternate until the policy iteration cap
+        gen = np.random.default_rng(9)
+        mdp = random_mdp(3, 2, 0.99, gen)
+        mdp = with_rewards(mdp, gen.integers(0, 2, (3, 2)).astype(float))
+        path = write_json(tmp_path, "tied.json", mdp_to_dict(mdp))
+        assert run(["qlearn", "--mdp", path, "--steps", "1000",
+                    "--checkpoint-every", "500"]) == 0
+        assert capsys.readouterr().out.startswith("step,supnorm_error,greedy_match\n")
+
+    def test_overflowing_visited_policy_exits_2_quickly(self, tmp_path):
+        doc = mdp_to_dict(stay_go_mdp(0.9))
+        doc["rewards"]["s0"]["go"] = doc["rewards"]["s1"]["go"] = 4e307
+        path = write_json(tmp_path, "huge_go.json", doc)
+        start = time.perf_counter()
+        proc = run_python(["-m", "mdplab", "qlearn", "--mdp", path, "--steps", "1000"])
+        assert time.perf_counter() - start < 5.0
+        assert proc.returncode == 2
+        assert proc.stdout == ""
+        assert proc.stderr.startswith("error: values overflow")
+        assert proc.stderr.count("\n") == 1
+
     def test_rejects_bad_steps(self, stay_go_path, capsys):
         assert run(["qlearn", "--mdp", stay_go_path, "--steps", "0"]) == 2
         assert capsys.readouterr().err.startswith("error:")
@@ -291,6 +330,34 @@ class TestCompareAndSweep:
         out = capsys.readouterr().out
         assert code == 0
         assert out.splitlines() == ["weight,divergence", "0.0,0.0", "2.0,0.0", "3.0,1.0"]
+
+    def test_gamma_near_one_is_solved_exactly(self, tmp_path, capsys):
+        doc = mdp_to_dict(stay_go_dynamics(0.999999))
+        del doc["rewards"]
+        dynamics = write_json(tmp_path, "dyn.json", doc)
+        home_s1 = write_json(tmp_path, "a.json", {"s0": {"stay": 0.0, "go": 0.0},
+                                                  "s1": {"stay": 1.0, "go": 0.0}})
+        home_s0 = write_json(tmp_path, "b.json", {"s0": {"stay": 1.0, "go": 0.0},
+                                                  "s1": {"stay": 0.0, "go": 0.0}})
+        assert run(["compare", "--dynamics", dynamics,
+                    "--reward-a", home_s1, "--reward-b", home_s0]) == 0
+        assert json.loads(capsys.readouterr().out)["divergence"] == 1.0
+        hierarchy = write_json(tmp_path, "hier.json", EGOISM_HIERARCHY)
+        assert run(["sweep", "--dynamics", dynamics, "--hierarchy", hierarchy,
+                    "--level", "1", "--grid", "0,1,2,3,4"]) == 0
+        rows = capsys.readouterr().out.splitlines()[1:]
+        assert [float(row.split(",")[1]) for row in rows] == [0.0, 0.0, 0.0, 1.0, 1.0]
+
+    def test_overflowing_filter_names_its_level(self, dynamics_path, tmp_path):
+        doc = json.loads(json.dumps(EGOISM_HIERARCHY))
+        doc["levels"][0]["filter"] = [[0, 0], [1, 1e300]]
+        doc["levels"][0]["rewards"]["s0"]["stay"] = 1e10
+        hierarchy = write_json(tmp_path, "hier.json", doc)
+        proc = run_python(["-m", "mdplab", "sweep", "--dynamics", dynamics_path,
+                           "--hierarchy", hierarchy, "--level", "1", "--grid", "0,1"])
+        assert proc.returncode == 2
+        assert proc.stdout == ""
+        assert proc.stderr == "error: level 'individual': the filtered rewards overflow\n"
 
     def test_bad_grid_exits_2(self, dynamics_path, tmp_path, capsys):
         hierarchy = write_json(tmp_path, "h.json", {"levels": [

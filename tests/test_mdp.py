@@ -18,8 +18,10 @@ from mdplab import (
     UnknownActionError,
     UnknownStateError,
     ValidationError,
+    evaluate,
     mdp_to_dict,
     policy_evaluate,
+    policy_probs,
     random_mdp,
     step,
     validate_mdp,
@@ -168,13 +170,13 @@ class TestPolicyEvaluate:
         assert_allclose(v.values, [0.0, 2.0], atol=1e-9)
 
     def test_residual_below_contract(self, rng):
-        from mdplab.mdp import policy_expectations
+        from mdplab.mdp import expectations, policy_probs
 
         for _ in range(10):
             mdp = random_mdp(12, 4, 0.95, rng)
             pol = Policy.stochastic(rng.dirichlet(np.ones(4), size=12))
             v = policy_evaluate(mdp, pol).values
-            r_pi, p_pi = policy_expectations(mdp, pol)
+            r_pi, p_pi = expectations(mdp, policy_probs(mdp, pol))
             assert np.abs(v - (r_pi + mdp.gamma * p_pi @ v)).max() < 1e-9
 
     def test_bound_on_random_mdps(self, rng):
@@ -186,20 +188,34 @@ class TestPolicyEvaluate:
             v = policy_evaluate(mdp, pol).values
             assert np.abs(v).max() <= mdp.reward_bound / (1.0 - mdp.gamma) + 1e-9
 
+    def test_stack_evaluates_each_policy(self, rng):
+        mdp = random_mdp(7, 3, 0.9, rng)
+        probs = rng.dirichlet(np.ones(3), size=(4, 7))
+        stacked = evaluate(mdp, probs)
+        assert stacked.shape == (4, 7)
+        for k in range(4):
+            assert_allclose(stacked[k], evaluate(mdp, probs[k]), rtol=0.0, atol=1e-12)
+
+    def test_deterministic_policy_is_one_hot(self, rng):
+        mdp = random_mdp(5, 3, 0.9, rng)
+        acts = np.array([2, 0, 1, 1, 0])
+        probs = policy_probs(mdp, Policy.deterministic(acts))
+        assert np.array_equal(probs, np.eye(3)[acts])
+        with pytest.raises(ValidationError):
+            policy_probs(mdp, Policy.deterministic(np.array([0, 0, 0, 0, 3])))
+
     def test_policy_must_cover_states(self, stay_go):
         with pytest.raises(ValidationError):
             policy_evaluate(stay_go, Policy.deterministic(np.array([0])))
 
-    def test_iterative_branch_beyond_direct_solve_limit(self):
-        # 520 states forces the sweep-based evaluator; the fixed-point
-        # residual contract must hold there too
-        from mdplab.mdp import policy_expectations
+    def test_residual_below_contract_on_520_states(self):
+        from mdplab.mdp import expectations, policy_probs
 
         gen = np.random.default_rng(13)
         mdp = random_mdp(520, 2, 0.9, gen)
         pol = Policy.deterministic(gen.integers(0, 2, size=520))
         v = policy_evaluate(mdp, pol).values
-        r_pi, p_pi = policy_expectations(mdp, pol)
+        r_pi, p_pi = expectations(mdp, policy_probs(mdp, pol))
         assert np.abs(v - (r_pi + mdp.gamma * p_pi @ v)).max() < 1e-9
 
 

@@ -8,6 +8,7 @@ from numpy.testing import assert_allclose
 
 from mdplab import (
     GridMismatchError,
+    NonFiniteRewardError,
     NonMonotoneFilterError,
     RewardHierarchy,
     RewardLevel,
@@ -107,6 +108,14 @@ class TestUtilityFilter:
         assert filt.apply(lo) <= filt.apply(hi) + 1e-12
 
 
+    def test_steep_extrapolation_overflows_to_infinity_quietly(self):
+        # the end segment is finite but steep; far inputs leave the float
+        # range, and callers check for that instead of a numpy warning
+        filt = UtilityFilter(((0.0, 0.0), (5e-308, 1.0)))
+        assert filt.apply(-10.0) == -np.inf
+        assert_allclose(filt.apply(np.array([0.0, 5e-308])), [0.0, 1.0])
+
+
 def three_level_hierarchy(w0=1.0, w1=0.0, w2=0.0):
     individual = np.array([[1.0, 0.0], [0.25, -0.5]])
     group = np.array([[0.0, 1.0], [0.5, 0.5]])
@@ -171,6 +180,23 @@ class TestComposeReward:
     def test_name_must_be_a_string(self):
         with pytest.raises(SchemaError):
             RewardLevel(["x"], np.zeros((2, 2)), 1.0)
+
+
+    def test_overflowing_filter_names_its_level(self):
+        steep = RewardLevel("steep", [[1e10, 0.0]], 1.0, UtilityFilter(((0, 0), (1, 1e300))))
+        hier = RewardHierarchy((RewardLevel("flat", [[0.0, 1.0]], 1.0), steep))
+        with pytest.raises(NonFiniteRewardError, match="'steep': the filtered rewards"):
+            compose_reward(hier)
+
+    def test_overflowing_weight_names_its_level(self):
+        heavy = RewardLevel("heavy", [[1e300, 0.0]], 1e10)
+        with pytest.raises(NonFiniteRewardError, match="'heavy': the weighted rewards"):
+            compose_reward(RewardHierarchy((heavy,)))
+
+    def test_overflowing_sum_of_levels_raises(self):
+        big = RewardLevel("big", [[1e308, 0.0]], 1.0)
+        with pytest.raises(NonFiniteRewardError, match="sum of the levels overflows"):
+            compose_reward(RewardHierarchy((big, big)))
 
 
 class TestComparePolicies:

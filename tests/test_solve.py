@@ -22,6 +22,7 @@ from mdplab import (
     verify_deterministic_optimality,
     with_rewards,
 )
+from mdplab.rewards import ARGMAX_TOL
 
 
 class TestValueIteration:
@@ -118,6 +119,58 @@ class TestPolicyIteration:
         mdp = with_rewards(stay_go, [[0.0, 0.0], [1.7e308, 0.0]])
         with pytest.raises(ValueOverflowError, match="values overflow"):
             policy_iteration(mdp)
+
+    def test_tied_policies_stop_within_ten_iterations(self):
+        # two policies whose solved values differ only by rounding (up to
+        # 3e-13) must not alternate until the iteration cap
+        gen = np.random.default_rng(9)
+        mdp = random_mdp(3, 2, 0.99, gen)
+        mdp = with_rewards(mdp, gen.integers(0, 2, (3, 2)).astype(float))
+        res = policy_iteration(mdp)
+        assert res.iterations <= 10
+        assert np.abs(res.v_star.values - value_iteration(mdp, 1e-8).v_star.values).max() < 1e-8
+
+    def test_a_visited_policy_that_overflows_raises(self):
+        # V* itself overflows here; iterating past the overflowing policy
+        # would only cycle among NaN values until the cap
+        mdp = with_rewards(stay_go_mdp(0.9), [[0.0, 4e307], [1.0, 4e307]])
+        with pytest.raises(ValueOverflowError, match="values overflow at policy iteration 2"):
+            policy_iteration(mdp)
+
+    @settings(max_examples=50, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n_s=st.integers(1, 30),
+        n_a=st.integers(1, 5),
+        gamma=st.sampled_from([0.0, 0.5, 0.9, 0.99, 0.999]),
+        kind=st.sampled_from(["binary", "one_decimal", "constant"]),
+        sparse=st.booleans(),
+    )
+    def test_argmax_sets_match_value_iteration_on_tied_tables(
+        self, seed, n_s, n_a, gamma, kind, sparse
+    ):
+        gen = np.random.default_rng(seed)
+        mdp = random_mdp(n_s, n_a, gamma, gen)
+        if sparse:  # one successor per pair, so whole policies tie exactly
+            t = np.eye(n_s)[gen.integers(0, n_s, (n_s, n_a))]
+            mdp = make_mdp(mdp.states, mdp.actions, gamma, t, mdp.rewards)
+        if kind == "binary":
+            table = gen.integers(0, 2, (n_s, n_a)).astype(float)
+        elif kind == "one_decimal":
+            table = np.round(gen.uniform(-1.0, 1.0, (n_s, n_a)), 1)
+        else:
+            table = np.full((n_s, n_a), float(gen.integers(-3, 4)))
+        mdp = with_rewards(mdp, table)
+        pi = policy_iteration(mdp)  # a cycle among tied policies raises SweepLimitError
+        vi = value_iteration(mdp, 1e-8)
+        # one-successor dynamics can need more than 10 iterations without
+        # any tie (one stress table needed 14)
+        assert sparse or pi.iterations <= 10
+        sets_pi, sets_vi = (
+            q >= q.max(axis=1, keepdims=True) - ARGMAX_TOL
+            for q in (pi.q_star.values, vi.q_star.values)
+        )
+        assert np.array_equal(sets_pi, sets_vi)
 
     def test_greedy_policy_evaluates_to_v_star(self, rng):
         for _ in range(10):
