@@ -9,7 +9,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .mdp import Policy, QTable, ValidationError, ValueFunction, evaluate
+from .mdp import (Policy, QTable, ValidationError, ValueFunction, evaluate,
+                  policy_evaluate, with_rewards)
 
 DOMINANCE_SLACK = 1e-7
 MAX_SWEEPS = 1_000_000
@@ -58,10 +59,10 @@ class SolveResult:
         }
 
 
-def _result_from_v(mdp, v, iterations):
-    # One extra lookahead makes v_star = max_a q_star hold exactly.
+def _result_from_v(mdp, v, iterations, shift=0):
+    # Undo a 2^-shift reward scale; one more lookahead makes v_star = max_a q_star.
     with np.errstate(over="ignore", invalid="ignore"):
-        q = q_from_v(mdp, v)
+        q = q_from_v(mdp, np.ldexp(v, shift))
     if not np.isfinite(q).all():
         raise ValueOverflowError(
             f"values overflow; rewards are too large for gamma {mdp.gamma}"
@@ -136,36 +137,35 @@ def value_iteration(mdp, epsilon):
 def policy_iteration(mdp):
     """Alternate exact evaluation and greedy improvement until no state gains.
 
-    Every state moves to its lowest-index greedy action until no state's
-    gain max_a Q(s, a) - Q(s, pi(s)) exceeds 8 eps max|V| / (1 - gamma), the
-    rounding of the solve, so policies tied up to rounding cannot cycle.
-    pi_star is the lowest-index argmax of q_star.  Raises ValueOverflowError
-    as soon as a visited policy's values are not finite (which can happen
-    where V* is finite), and SweepLimitError after MAX_POLICY_ITERATIONS.
+    Every state moves to its lowest-index greedy action until the policy is
+    unchanged, or until two moves in a row raise no value by more than
+    8 eps max|V| / (1 - gamma), the rounding of the solve: policies tied up
+    to rounding could cycle, and one such move can still open a gain that
+    recurs.  pi_star is the lowest-index argmax of q_star.  Rewards are
+    scaled by a power of two to max|R| <= 1, which scales each value exactly,
+    so only V* can overflow (ValueOverflowError).  Raises SweepLimitError
+    after MAX_POLICY_ITERATIONS.
     """
+    shift = max(math.frexp(mdp.reward_bound)[1], 0)
+    scaled = with_rewards(mdp, np.ldexp(mdp.rewards, -shift))
     acts = np.zeros(mdp.n_states, dtype=np.int64)
-    one_hot = np.eye(mdp.n_actions)
-    states = np.arange(mdp.n_states)
     rounding = 8.0 * np.finfo(float).eps / (1.0 - mdp.gamma)
-    # An overflow is reported by the finiteness checks, not as a warning.
-    with np.errstate(over="ignore", invalid="ignore"):
-        for iterations in range(1, MAX_POLICY_ITERATIONS + 1):
-            v = evaluate(mdp, one_hot[acts])
-            if not np.isfinite(v).all():
-                raise ValueOverflowError(
-                    f"values overflow at policy iteration {iterations}; "
-                    f"rewards are too large for gamma {mdp.gamma}"
-                )
-            q = q_from_v(mdp, v)
-            greedy = q.argmax(axis=1)
-            if not (q.max(axis=1) - q[states, acts]).max() > rounding * np.abs(v).max():
+    v_prev, flat = None, 0
+    for iterations in range(1, MAX_POLICY_ITERATIONS + 1):
+        v = policy_evaluate(scaled, Policy.deterministic(acts)).values
+        if v_prev is not None:
+            flat = 0 if (v - v_prev).max() > rounding * np.abs(v).max() else flat + 1
+            if flat == 2:
                 break
-            acts = greedy
-        else:
-            raise SweepLimitError(
-                f"policy iteration did not stabilize in {MAX_POLICY_ITERATIONS} iterations"
-            )
-    return _result_from_v(mdp, v, iterations)
+        greedy = q_from_v(scaled, v).argmax(axis=1)
+        if np.array_equal(greedy, acts):
+            break
+        acts, v_prev = greedy, v
+    else:
+        raise SweepLimitError(
+            f"policy iteration did not stabilize in {MAX_POLICY_ITERATIONS} iterations"
+        )
+    return _result_from_v(mdp, v, iterations, shift)
 
 
 @dataclass(frozen=True, eq=False)

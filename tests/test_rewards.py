@@ -232,6 +232,14 @@ class TestComparePolicies:
             == compare_policies(dyn, b, a).divergence
         )
 
+    def test_a_visited_policy_may_overflow_where_the_optimum_does_not(self):
+        # staying is worth -1.7e309 under reward A, going back and forth is
+        # finite and optimal
+        dyn = stay_go_dynamics(0.9)
+        rep = compare_policies(dyn, [[-1.7e308, 0.0], [-1.7e308, 1.0]], [[1.0, 0.0], [1.0, 0.0]])
+        assert rep.divergence == 1.0
+        assert [e["argmax_a"] for e in rep.per_state.values()] == [("go",), ("go",)]
+
     def test_grid_mismatch(self, rng):
         dyn = random_mdp(4, 2, 0.9, rng)
         with pytest.raises(GridMismatchError):

@@ -130,12 +130,51 @@ class TestPolicyIteration:
         assert res.iterations <= 10
         assert np.abs(res.v_star.values - value_iteration(mdp, 1e-8).v_star.values).max() < 1e-8
 
-    def test_a_visited_policy_that_overflows_raises(self):
-        # V* itself overflows here; iterating past the overflowing policy
-        # would only cycle among NaN values until the cap
+    def test_overflowing_optimum_raises_without_iterating_on_nan(self):
+        # V* itself overflows here; iterating on the overflowed values would
+        # only cycle among NaN values until the cap
         mdp = with_rewards(stay_go_mdp(0.9), [[0.0, 4e307], [1.0, 4e307]])
-        with pytest.raises(ValueOverflowError, match="values overflow at policy iteration 2"):
+        with pytest.raises(ValueOverflowError, match="values overflow"):
             policy_iteration(mdp)
+
+    def test_a_visited_policy_may_overflow_where_the_optimum_does_not(self):
+        # the first policy, stay everywhere, is worth -1.7e309; going back
+        # and forth is optimal and worth gamma / (1 - gamma^2) in s0
+        mdp = with_rewards(stay_go_mdp(0.9), [[-1.7e308, 0.0], [-1.7e308, 1.0]])
+        res = policy_iteration(mdp)
+        assert_allclose(res.v_star.values, [0.9 / 0.19, 1.0 / 0.19], rtol=1e-12)
+        assert np.array_equal(res.pi_star.actions, [1, 1])
+
+    def test_a_gain_below_rounding_that_recurs_is_taken(self):
+        # at gamma = 1 - 1e-6 the rounding of the solve is about 1.8e-3 in
+        # values near 1e6, above both first gains (1e-4 in s0, 5e-5 in s1);
+        # moving still raises V by about 100, and from there s1's best
+        # action is to go, not to stay
+        gamma = 0.999999
+        t = np.zeros((2, 2, 2))
+        t[0, :, 0] = t[1, 0, 0] = t[1, 1, 1] = 1.0
+        mdp = make_mdp(("s0", "s1"), ("a", "b"), gamma, t, [[1.0, 1.0001], [0.0, 1.00005]])
+        res = policy_iteration(mdp)
+        v0 = 1.0001 / (1.0 - gamma)
+        assert_allclose(res.v_star.values, [v0, gamma * v0], rtol=1e-9)
+        q = res.q_star.values
+        assert np.array_equal(q >= q.max(axis=1, keepdims=True) - ARGMAX_TOL,
+                              [[False, True], [True, False]])
+
+    def test_a_gain_below_rounding_that_opens_a_larger_one_is_taken(self):
+        # leaving s0 for z gains 2e-4 in one step and raises V by only that
+        # much; once s0 is worth more, its self-loop paying 1.0001 gains
+        # 1e-4 per step for ever, so staying is optimal
+        gamma = 0.999999
+        t = np.zeros((2, 3, 2))
+        t[0, 0, 0] = t[0, 2, 0] = t[0, 1, 1] = 1.0
+        t[1, :, 1] = 1.0
+        mdp = make_mdp(("s0", "z"), ("a", "b", "c"), gamma, t,
+                       [[1.0, 1.0002, 1.0001], [1.0, 1.0, 1.0]])
+        res = policy_iteration(mdp)
+        assert_allclose(res.v_star.values, [1.0001 / (1.0 - gamma), 1.0 / (1.0 - gamma)],
+                        rtol=1e-9)
+        assert res.pi_star.actions[0] == 2
 
     @settings(max_examples=50, deadline=None)
     @given(
