@@ -34,7 +34,7 @@ print("  average reward J:", j)
 print("  differential Q:", q.as_dict(world))
 
 # Verify the gradient formula numerically before trusting it.
-report = gradient_check(world, theta, h=1e-5)
+report = gradient_check(world, theta)
 print("\ngradient check at theta = 0:")
 print("  analytic:", report.analytic.round(6).tolist())
 print("  numeric: ", report.numeric.round(6).tolist())

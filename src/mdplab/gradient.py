@@ -66,16 +66,23 @@ def _strongly_connected(adj):
     return True
 
 
-def _stationary(p_pi):
-    """Stationary distribution of a chain (S, S), or of each chain in a stack
-    (K, S, S).
+def _gain(mu, r_pi):
+    """J = mu . R_pi, of one chain or of each chain in a stack."""
+    return (mu[..., None, :] @ r_pi[..., None])[..., 0, 0]
 
-    One solve of the bordered system (I - P^T + 1 1^T) mu = 1, which is
+
+def _chain(mdp, probs):
+    """R_pi, P_pi, the stationary distribution mu and the gain J of the chain
+    induced by an (S, A) action-probability array, or of each chain induced
+    by a (K, S, A) stack.
+
+    mu is one solve of the bordered system (I - P^T + 1 1^T) mu = 1, which is
     nonsingular exactly when the chain has a single recurrent class (Kemeny &
     Snell, Finite Markov Chains).  Raises ReducibleChainError unless every
     chain's positive-probability graph is strongly connected; the graph check
     runs once per distinct support pattern in the stack.
     """
+    r_pi, p_pi = expectations(mdp, probs)
     n = p_pi.shape[-1]
     patterns = {adj.tobytes(): adj for adj in (p_pi > 0.0).reshape(-1, n, n)}
     if not all(_strongly_connected(adj) for adj in patterns.values()):
@@ -88,35 +95,31 @@ def _stationary(p_pi):
         mu = np.linalg.solve(system, np.ones(p_pi.shape[:-1])[..., None])[..., 0]
     except np.linalg.LinAlgError as exc:
         raise SingularSystemError(f"stationary system is singular: {exc}") from exc
-    return mu / mu.sum(axis=-1, keepdims=True)
+    mu = mu / mu.sum(axis=-1, keepdims=True)
+    return r_pi, p_pi, mu, _gain(mu, r_pi)
 
 
 def stationary_distribution(mdp, policy):
-    """Left fixed point of the policy-induced chain, as a probability vector.
-
-    A direct solve of the bordered system (I - P_pi^T + 1 1^T) mu = 1, so
-    slow-mixing chains cost no more than fast ones.  Raises
-    ReducibleChainError when the positive-probability graph is not strongly
-    connected.
-    """
-    _, p_pi = expectations(mdp, policy_probs(mdp, policy))
-    return _stationary(p_pi)
+    """Left fixed point of the policy-induced chain, as a probability vector:
+    one direct solve, so slow-mixing chains cost no more than fast ones.
+    Raises ReducibleChainError when the chain is not strongly connected."""
+    return _chain(mdp, policy_probs(mdp, policy))[2]
 
 
 def differential_q(mdp, policy, mu):
     """Average reward J and the differential action values under the policy.
 
-    Solves (I - P_pi + 1 mu^T) V = R_pi - J, which embeds the normalization
-    mu . V = 0 into the otherwise rank-deficient Poisson system, then
-    Q(s, a) = R(s, a) - J + P(.|s, a) . V.
+    J = mu . R_pi for the mu given.  Solves (I - P_pi + 1 mu^T) V = R_pi - J,
+    which embeds the normalization mu . V = 0 into the otherwise
+    rank-deficient Poisson system, then Q(s, a) = R(s, a) - J + P(.|s, a) . V.
     """
     r_pi, p_pi = expectations(mdp, policy_probs(mdp, policy))
-    q, j = _differential(mdp, r_pi, p_pi, np.asarray(mu, dtype=float))
-    return QTable(q), j
+    mu = np.asarray(mu, dtype=float)
+    j = float(_gain(mu, r_pi))
+    return QTable(_differential(mdp, r_pi, p_pi, mu, j)), j
 
 
-def _differential(mdp, r_pi, p_pi, mu):
-    j = float(mu @ r_pi)
+def _differential(mdp, r_pi, p_pi, mu, j):
     n = p_pi.shape[0]
     system = np.eye(n) - p_pi + np.outer(np.ones(n), mu)
     try:
@@ -124,23 +127,21 @@ def _differential(mdp, r_pi, p_pi, mu):
     except np.linalg.LinAlgError as exc:
         raise SingularSystemError(f"differential-value system is singular: {exc}") from exc
     v -= mu @ v
-    return mdp.rewards - j + mdp.transitions @ v, j
+    return mdp.rewards - j + mdp.transitions @ v
 
 
 def _gradient(mdp, theta):
-    """Exact gradient of J at theta, and J; R_pi and P_pi are built once."""
+    """Exact gradient of J at theta, and J, from one chain build."""
     policy = softmax_policy(theta)
-    r_pi, p_pi = expectations(mdp, policy_probs(mdp, policy))
-    mu = _stationary(p_pi)
-    q, j = _differential(mdp, r_pi, p_pi, mu)
+    r_pi, p_pi, mu, j = _chain(mdp, policy_probs(mdp, policy))
+    q = _differential(mdp, r_pi, p_pi, mu, j)
     v = (policy.probs * q).sum(axis=1)
     return mu[:, None] * policy.probs * (q - v[:, None]), j
 
 
 def average_reward(mdp, theta):
     """J(theta): stationary-average one-step reward of the softmax policy."""
-    r_pi, p_pi = expectations(mdp, policy_probs(mdp, softmax_policy(theta)))
-    return float(_stationary(p_pi) @ r_pi)
+    return float(_chain(mdp, policy_probs(mdp, softmax_policy(theta)))[3])
 
 
 def policy_gradient_analytic(mdp, theta):
@@ -163,29 +164,25 @@ class GradientReport:
     max_rel_diff: float
 
 
-def gradient_check(mdp, theta, h=FD_STEP):
+def gradient_check(mdp, theta):
     """Compare the analytic gradient with central differences of J.
 
-    numeric[s, a] = (J(theta + h e) - J(theta - h e)) / 2h per coordinate;
-    the relative difference uses max(1e-8, |numeric|) as denominator.  A bump
-    in row s changes only that row of the policy, so the 2A perturbed chains
-    of one state are built and solved as one stack.
+    numeric[s, a] = (J(theta + h e) - J(theta - h e)) / 2h per coordinate,
+    with h = FD_STEP; the relative difference uses max(1e-8, |numeric|) as
+    denominator.  A bump in row s changes only that row of the policy, so the
+    2A perturbed chains of one state are built and solved as one stack.
     """
-    h = float(h)
-    if not h > 0.0:
-        raise ValidationError("h must be > 0")
     theta = np.asarray(theta, dtype=float)
     analytic = policy_gradient_analytic(mdp, theta)
     n_s, n_a = theta.shape
     base = softmax_policy(theta).probs
-    bumps = np.concatenate([np.eye(n_a), -np.eye(n_a)]) * h
+    bumps = np.concatenate([np.eye(n_a), -np.eye(n_a)]) * FD_STEP
     numeric = np.empty_like(analytic)
     for s in range(n_s):
         probs = np.repeat(base[None], 2 * n_a, axis=0)
         probs[:, s] = softmax_policy(theta[s] + bumps).probs
-        r_pi, p_pi = expectations(mdp, probs)
-        j = (_stationary(p_pi) * r_pi).sum(axis=1)
-        numeric[s] = (j[:n_a] - j[n_a:]) / (2.0 * h)
+        j = _chain(mdp, probs)[3]
+        numeric[s] = (j[:n_a] - j[n_a:]) / (2.0 * FD_STEP)
     diff = np.abs(analytic - numeric)
     rel = diff / np.maximum(REL_FLOOR, np.abs(numeric))
     return GradientReport(
@@ -208,8 +205,8 @@ def ascent_trace(mdp, theta0, step_size, iters):
     raises ValueOverflowError before its step is taken.
     """
     step_size = float(step_size)
-    if not step_size > 0.0:
-        raise ValidationError("step_size must be > 0")
+    if not (np.isfinite(step_size) and step_size > 0.0):
+        raise ValidationError(f"step_size must be finite and > 0, got {step_size}")
     if int(iters) < 1:
         raise ValidationError("iters must be >= 1")
     theta = np.array(theta0, dtype=float)

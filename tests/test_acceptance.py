@@ -178,7 +178,7 @@ def test_criterion_5_gradient_identity(rng):
         n_a = int(gen.integers(2, 5))
         mdp = random_mdp(n_s, n_a, 0.9, gen)
         theta = gen.normal(0.0, 0.5, size=(n_s, n_a))
-        report = gradient_check(mdp, theta, 1e-5)
+        report = gradient_check(mdp, theta)
         assert report.max_rel_diff < 1e-5, report.max_rel_diff
 
         probs = softmax_policy(theta).probs

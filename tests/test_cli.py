@@ -8,6 +8,7 @@ import subprocess
 import sys
 import tempfile
 import time
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -292,6 +293,28 @@ class TestPgCommand:
         path = write_json(tmp_path, "reducible.json", doc)
         assert run(["pg", "--mdp", path, "--iters", "3"]) == 5
         assert capsys.readouterr().err.startswith("error:")
+
+    @pytest.mark.parametrize("step_size", ["inf", "nan"])
+    def test_non_finite_step_size_exits_2(self, tmp_path, capsys, step_size):
+        # every row mixes to (0.5, 0.5), so the gradient is exactly zero, and
+        # a step of inf * 0 would make NaN logits behind a numpy warning
+        mix = {a: {"s0": 0.5, "s1": 0.5} for a in ("a0", "a1")}
+        doc = {
+            "states": ["s0", "s1"],
+            "actions": ["a0", "a1"],
+            "gamma": 0.9,
+            "transitions": {"s0": mix, "s1": mix},
+            "rewards": {"s0": {"a0": 0.3, "a1": 0.3}, "s1": {"a0": 1.0, "a1": 1.0}},
+        }
+        path = write_json(tmp_path, "saddle.json", doc)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = run(["pg", "--mdp", path, "--step-size", step_size, "--iters", "2"])
+        assert code == 2
+        assert caught == []
+        err = capsys.readouterr().err
+        assert err.startswith("error: step_size must be finite")
+        assert err.count("\n") == 1
 
 
 class TestCompareAndSweep:

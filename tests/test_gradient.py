@@ -27,7 +27,7 @@ from mdplab import (
     stay_go_mdp,
     with_rewards,
 )
-from mdplab.gradient import _strongly_connected
+from mdplab.gradient import FD_STEP, _strongly_connected
 
 
 def one_state_bandit(r0=1.0, r1=0.0, gamma=0.5):
@@ -239,7 +239,7 @@ class TestAnalyticGradient:
         gen = np.random.default_rng(11)
         mdp = random_mdp(6, 3, 0.9, gen)
         theta = gen.normal(0.0, 0.5, size=(6, 3))
-        report = gradient_check(mdp, theta, 1e-5)
+        report = gradient_check(mdp, theta)
         assert report.max_rel_diff < 1e-6
 
     def test_reducible_chain_is_an_error(self):
@@ -255,7 +255,7 @@ class TestGradientCheck:
         assert_allclose(report.analytic, 0.0, atol=1e-15)
 
     def test_single_state_closed_form_derivative(self):
-        report = gradient_check(one_state_bandit(), np.zeros((1, 2)), 1e-5)
+        report = gradient_check(one_state_bandit(), np.zeros((1, 2)))
         assert report.max_abs_diff < 1e-9
 
     def test_batched_numeric_gradient_matches_a_coordinate_loop(self):
@@ -263,21 +263,16 @@ class TestGradientCheck:
         for n_s, n_a in ((1, 2), (5, 3), (9, 4)):
             mdp = random_mdp(n_s, n_a, 0.9, gen)
             theta = gen.normal(0.0, 1.0, size=(n_s, n_a))
-            h = 1e-5
             loop = np.zeros_like(theta)
             for s in range(n_s):
                 for a in range(n_a):
                     bump = np.zeros_like(theta)
-                    bump[s, a] = h
+                    bump[s, a] = FD_STEP
                     loop[s, a] = (
                         average_reward(mdp, theta + bump) - average_reward(mdp, theta - bump)
-                    ) / (2.0 * h)
-            report = gradient_check(mdp, theta, h)
+                    ) / (2.0 * FD_STEP)
+            report = gradient_check(mdp, theta)
             assert np.abs(report.numeric - loop).max() < 1e-9
-
-    def test_h_must_be_positive(self, stay_go):
-        with pytest.raises(ValidationError):
-            gradient_check(stay_go, np.zeros((2, 2)), 0.0)
 
 
 class TestRewardTransformations:
@@ -341,7 +336,8 @@ class TestGradientAscent:
         assert excinfo.value.theta.shape == (2, 1)
 
     def test_parameter_validation(self, stay_go):
-        with pytest.raises(ValidationError):
-            gradient_ascent(stay_go, np.zeros((2, 2)), 0.0, 10)
+        for step_size in (0.0, np.inf, np.nan):
+            with pytest.raises(ValidationError, match="step_size"):
+                gradient_ascent(stay_go, np.zeros((2, 2)), step_size, 10)
         with pytest.raises(ValidationError):
             gradient_ascent(stay_go, np.zeros((2, 2)), 0.1, 0)

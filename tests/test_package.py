@@ -20,7 +20,8 @@ def test_no_private_cross_module_imports():
 
 def test_linear_solves_live_in_mdp_and_gradient_only():
     # discounted evaluation is the one solve in mdp.py; the stationary and
-    # differential systems are gradient.py's
+    # differential systems are gradient.py's, and its R_pi/P_pi come from the
+    # chain builder and differential_q only, so no second chain path appears
     counts = {}
     for path in sorted(PACKAGE.glob("*.py")):
         for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
@@ -28,4 +29,8 @@ def test_linear_solves_live_in_mdp_and_gradient_only():
                     and isinstance(node.value, ast.Attribute) and node.value.attr == "linalg"):
                 counts[path.name] = counts.get(path.name, 0) + 1
     assert counts.pop("mdp.py", 0) == 1
-    assert set(counts) <= {"gradient.py"}
+    assert counts == {"gradient.py": 2}
+    tree = ast.parse((PACKAGE / "gradient.py").read_text(encoding="utf-8"))
+    builds = [node for node in ast.walk(tree) if isinstance(node, ast.Call)
+              and getattr(node.func, "id", getattr(node.func, "attr", None)) == "expectations"]
+    assert len(builds) <= 2
