@@ -202,7 +202,8 @@ def ascent_trace(mdp, theta0, step_size, iters):
     mid-run (softmax rows can underflow to exact zeros), the raised
     ReducibleChainError carries the partial trace as ``j_trace`` and the
     last parameters as ``theta``.  A gradient whose norm is not finite
-    raises ValueOverflowError before its step is taken.
+    raises ValueOverflowError before its step is taken, and so does a step
+    that overflows theta.
     """
     step_size = float(step_size)
     if not (np.isfinite(step_size) and step_size > 0.0):
@@ -225,7 +226,13 @@ def ascent_trace(mdp, theta0, step_size, iters):
                 )
             js.append(j)
             grad_norms.append(norm)
-            theta = theta + step_size * grad
+            # An overflowing step is reported by the finiteness check below.
+            with np.errstate(over="ignore"):
+                theta = theta + step_size * grad
+            if not np.isfinite(theta).all():
+                raise ValueOverflowError(
+                    f"theta overflows at iteration {k}; step_size {step_size} is too large"
+                )
         js.append(average_reward(mdp, theta))
     except ReducibleChainError as exc:
         exc.j_trace = np.array(js)

@@ -14,9 +14,12 @@ from itertools import islice, repeat
 
 import numpy as np
 
-from .mdp import QTable, ValidationError
+from .mdp import QTable, ValidationError, as_number
 
-_CHUNK = 1 << 18
+_CHUNK = 1 << 14
+# Longest per-run table of schedule.rate values (about 8 MB of floats); a
+# visit index past it calls schedule.rate directly.
+_RATE_TABLE_CAP = 1 << 18
 OPTIMAL_SET_TOL = 1e-9
 
 
@@ -172,9 +175,9 @@ class QLearnConfig:
             raise ValidationError("steps must be >= 1")
         if self.checkpoint_every < 1:
             raise ValidationError("checkpoint_every must be >= 1")
-        if not 0.0 <= self.epsilon <= 1.0:
+        if not 0.0 <= as_number(self.epsilon, "epsilon", err=ValidationError) <= 1.0:
             raise ValidationError("epsilon must lie in [0, 1]")
-        if not np.isfinite(self.q_init):
+        if not np.isfinite(as_number(self.q_init, "q_init", err=ValidationError)):
             raise ValidationError("q_init must be finite")
 
 
@@ -251,13 +254,16 @@ def q_learning_run(mdp, config, oracle):
     gamma = mdp.gamma
     eps = config.epsilon
     rate = config.schedule.rate
+    rates = [0.0]  # rates[i] == rate(i) for 1 <= i < len(rates)
     every = int(config.checkpoint_every)
 
     q = [[float(config.q_init)] * n_a for _ in range(n_s)]
     visits = [[0] * n_a for _ in range(n_s)]
     uniform_mode = config.start == "uniform"
     s = 0 if uniform_mode else mdp.state_index(config.start)
-    max_abs = abs(float(config.q_init))
+    # max |Q| is max(hi, -lo) over the running maximum and minimum
+    hi = abs(float(config.q_init))
+    lo = -hi
 
     rng = np.random.default_rng(config.seed)
     checkpoints = []
@@ -267,7 +273,8 @@ def q_learning_run(mdp, config, oracle):
         # One (chunk, 4) block per pass, turned into flat per-step lists with
         # the same multiply and truncation as int(u * n): the restart state
         # (uniform mode only), the exploration action or -1 when the coin
-        # says greedy, and the transition draw.
+        # says greedy, and the transition draw.  PCG64 fills the block in
+        # order, so the stream does not depend on the block size.
         u = rng.random((min(remaining, _CHUNK), 4))
         n = len(u)
         remaining -= n
@@ -279,6 +286,10 @@ def q_learning_run(mdp, config, oracle):
             seg = min(n, every - t % every)
             n -= seg
             t += seg
+            # cover every visit index this segment can reach, up to the cap
+            need = min(max(map(max, visits)) + seg + 1, _RATE_TABLE_CAP)
+            if need > len(rates):
+                rates.extend(map(rate, range(len(rates), need)))
             for s0, a, u3 in islice(block, seg):
                 if uniform_mode:
                     s = s0
@@ -289,12 +300,17 @@ def q_learning_run(mdp, config, oracle):
                 counts = visits[s]
                 i = counts[a] + 1
                 counts[a] = i
-                value = row[a] + rate(i) * (rewards[s][a] + gamma * max(q[nxt]) - row[a])
+                try:
+                    beta = rates[i]
+                except IndexError:  # past the table's cap
+                    beta = rate(i)
+                qa = row[a]
+                value = qa + beta * (rewards[s][a] + gamma * max(q[nxt]) - qa)
                 row[a] = value
-                if value > max_abs:
-                    max_abs = value
-                elif -value > max_abs:
-                    max_abs = -value
+                if value > hi:
+                    hi = value
+                elif value < lo:
+                    lo = value
                 s = nxt
             if t % every == 0:
                 checkpoints.append(_checkpoint(t, q, q_star, star_sets))
@@ -303,7 +319,7 @@ def q_learning_run(mdp, config, oracle):
         checkpoints=tuple(checkpoints),
         q_final=QTable(np.array(q)),
         visits=np.array(visits, dtype=np.int64),
-        max_abs_q=max_abs,
+        max_abs_q=max(hi, -lo),
     )
 
 

@@ -316,6 +316,22 @@ class TestPgCommand:
         assert err.startswith("error: step_size must be finite")
         assert err.count("\n") == 1
 
+    def test_overflowing_step_exits_2(self, tmp_path, capsys):
+        # the gradient is small, but a step of 1e308 along it is not finite
+        doc = mdp_to_dict(stay_go_mdp())
+        doc["rewards"]["s1"]["stay"] = 1000.0
+        path = write_json(tmp_path, "big.json", doc)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = run(["pg", "--mdp", path, "--step-size", "1e308", "--iters", "2"])
+        assert code == 2
+        assert caught == []
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: theta overflows")
+        assert "step_size" in captured.err
+        assert captured.err.count("\n") == 1
+
 
 class TestCompareAndSweep:
     def test_compare_reports_divergence(self, dynamics_path, tmp_path, capsys):

@@ -15,12 +15,14 @@ from mdplab import (
     ValidationError,
     classify_schedule,
     convergence_report,
+    make_mdp,
     policy_iteration,
     q_learning_run,
     random_mdp,
     with_rewards,
 )
-from mdplab.qlearn import Checkpoint, ConvergenceTrace
+from mdplab.qlearn import _CHUNK, _RATE_TABLE_CAP, Checkpoint, ConvergenceTrace
+from qlearn_reference import reference_q_learning_run, trace_bits
 
 
 class TestScheduleValidation:
@@ -126,6 +128,20 @@ class TestConfigValidation:
             QLearnConfig(schedule=LearningRateSchedule.harmonic(1.0),
                          **{"steps": 100, field: value})
 
+    @pytest.mark.parametrize("field", ["epsilon", "q_init"])
+    @pytest.mark.parametrize("value", ["0.2", "x", True, False, None])
+    def test_epsilon_and_q_init_must_be_numbers(self, field, value):
+        with pytest.raises(ValidationError, match=field):
+            QLearnConfig(schedule=LearningRateSchedule.harmonic(1.0), steps=10,
+                         **{field: value})
+
+    @pytest.mark.parametrize("field", ["epsilon", "q_init"])
+    @pytest.mark.parametrize("value", [0, 0.5, np.float64(0.25)])
+    def test_epsilon_and_q_init_accept_numbers(self, field, value):
+        config = QLearnConfig(schedule=LearningRateSchedule.harmonic(1.0), steps=10,
+                              **{field: value})
+        assert getattr(config, field) == value
+
     @pytest.mark.parametrize("seed", [0, np.int64(7), 2**70])
     def test_nonnegative_integer_seeds_are_accepted(self, seed):
         config = QLearnConfig(schedule=LearningRateSchedule.harmonic(1.0), steps=10,
@@ -215,6 +231,39 @@ class TestQLearningRun:
             trace = q_learning_run(mdp, config, oracle)
         assert len(trace.checkpoints) == 4
         assert not any(np.isfinite(cp.supnorm_error) for cp in trace.checkpoints)
+
+    def test_rates_come_from_a_table(self, stay_go, stay_go_oracle, monkeypatch):
+        # each visit index is rated once, when the table grows to cover it,
+        # not once per update of every pair that reaches it
+        calls = []
+        rate = LearningRateSchedule.rate
+
+        def counted(schedule, i):
+            calls.append(i)
+            return rate(schedule, i)
+
+        monkeypatch.setattr(LearningRateSchedule, "rate", counted)
+        every = 1000
+        config = QLearnConfig(schedule=LearningRateSchedule.harmonic(0.7),
+                              steps=20_000, seed=3, checkpoint_every=every)
+        trace = q_learning_run(stay_go, config, stay_go_oracle)
+        assert calls == list(range(1, len(calls) + 1))
+        assert trace.visits.max() <= len(calls) <= trace.visits.max() + every
+
+    @pytest.mark.parametrize("schedule", [LearningRateSchedule.harmonic(0.7),
+                                          LearningRateSchedule.from_table([0.9, 0.5, 0.3])])
+    def test_bits_past_the_rate_table_cap(self, schedule):
+        # one pair takes every visit, so the last three indices lie past the
+        # cap; the checkpoint interval does not divide the block size
+        mdp = make_mdp(("s0",), ("a0",), 0.9, [[[1.0]]], [[1.0]])
+        steps = _RATE_TABLE_CAP + 3
+        assert steps > 10 * _CHUNK and 100_003 % _CHUNK != 0
+        config = QLearnConfig(schedule=schedule, steps=steps, seed=11,
+                              checkpoint_every=100_003, start="s0")
+        oracle = policy_iteration(mdp)
+        trace = q_learning_run(mdp, config, oracle)
+        assert trace.visits.tolist() == [[steps]]
+        assert trace_bits(trace) == trace_bits(reference_q_learning_run(mdp, config, oracle))
 
     def test_oracle_shape_mismatch(self, stay_go, rng):
         other = policy_iteration(random_mdp(3, 2, 0.5, rng))
