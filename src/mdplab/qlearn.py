@@ -175,9 +175,15 @@ class QLearnConfig:
             raise ValidationError("steps must be >= 1")
         if self.checkpoint_every < 1:
             raise ValidationError("checkpoint_every must be >= 1")
-        if not 0.0 <= as_number(self.epsilon, "epsilon", err=ValidationError) <= 1.0:
+        for name in ("epsilon", "q_init"):
+            value = getattr(self, name)
+            # numpy scalars are numbers here, as they are for the integer fields
+            if isinstance(value, (np.integer, np.floating)):
+                value = float(value)
+            as_number(value, name, err=ValidationError)
+        if not 0.0 <= self.epsilon <= 1.0:
             raise ValidationError("epsilon must lie in [0, 1]")
-        if not np.isfinite(as_number(self.q_init, "q_init", err=ValidationError)):
+        if not np.isfinite(self.q_init):
             raise ValidationError("q_init must be finite")
 
 
@@ -255,6 +261,7 @@ def q_learning_run(mdp, config, oracle):
     eps = config.epsilon
     rate = config.schedule.rate
     rates = [0.0]  # rates[i] == rate(i) for 1 <= i < len(rates)
+    cap = _RATE_TABLE_CAP
     every = int(config.checkpoint_every)
 
     q = [[float(config.q_init)] * n_a for _ in range(n_s)]
@@ -287,7 +294,7 @@ def q_learning_run(mdp, config, oracle):
             n -= seg
             t += seg
             # cover every visit index this segment can reach, up to the cap
-            need = min(max(map(max, visits)) + seg + 1, _RATE_TABLE_CAP)
+            need = min(max(map(max, visits)) + seg + 1, cap)
             if need > len(rates):
                 rates.extend(map(rate, range(len(rates), need)))
             for s0, a, u3 in islice(block, seg):
@@ -300,10 +307,8 @@ def q_learning_run(mdp, config, oracle):
                 counts = visits[s]
                 i = counts[a] + 1
                 counts[a] = i
-                try:
-                    beta = rates[i]
-                except IndexError:  # past the table's cap
-                    beta = rate(i)
+                # below the cap the table covers every index this segment reaches
+                beta = rates[i] if i < cap else rate(i)
                 qa = row[a]
                 value = qa + beta * (rewards[s][a] + gamma * max(q[nxt]) - qa)
                 row[a] = value

@@ -129,14 +129,14 @@ class TestConfigValidation:
                          **{"steps": 100, field: value})
 
     @pytest.mark.parametrize("field", ["epsilon", "q_init"])
-    @pytest.mark.parametrize("value", ["0.2", "x", True, False, None])
+    @pytest.mark.parametrize("value", ["0.2", "x", True, False, None, np.bool_(True)])
     def test_epsilon_and_q_init_must_be_numbers(self, field, value):
         with pytest.raises(ValidationError, match=field):
             QLearnConfig(schedule=LearningRateSchedule.harmonic(1.0), steps=10,
                          **{field: value})
 
     @pytest.mark.parametrize("field", ["epsilon", "q_init"])
-    @pytest.mark.parametrize("value", [0, 0.5, np.float64(0.25)])
+    @pytest.mark.parametrize("value", [0, 0.5, np.float64(0.25), np.float32(0.25), np.int64(0)])
     def test_epsilon_and_q_init_accept_numbers(self, field, value):
         config = QLearnConfig(schedule=LearningRateSchedule.harmonic(1.0), steps=10,
                               **{field: value})
