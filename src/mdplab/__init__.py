@@ -10,7 +10,6 @@ from .gradient import (
     GradientReport,
     NonFiniteThetaError,
     ReducibleChainError,
-    SingularSystemError,
     ascent_trace,
     average_reward,
     differential_q,
@@ -30,10 +29,12 @@ from .mdp import (
     QTable,
     RowSumError,
     SchemaError,
+    SingularSystemError,
     UnknownActionError,
     UnknownStateError,
     ValidationError,
     ValueFunction,
+    ValueOverflowError,
     evaluate,
     expectations,
     load_dynamics,
@@ -78,7 +79,6 @@ from .solve import (
     DominanceReport,
     SolveResult,
     SweepLimitError,
-    ValueOverflowError,
     bellman_backup,
     policy_iteration,
     q_from_v,

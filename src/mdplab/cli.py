@@ -27,13 +27,13 @@ import numpy as np
 
 from .gradient import (
     ReducibleChainError,
-    SingularSystemError,
     ascent_trace,
     gradient_check,
     softmax_policy,
     stationary_distribution,
 )
-from .mdp import ValidationError, labeled, load_dynamics, load_json, load_mdp, table_from_dict
+from .mdp import (SingularSystemError, ValidationError, labeled, load_dynamics, load_json,
+                  load_mdp, table_from_dict)
 from .qlearn import LearningRateSchedule, QLearnConfig, classify_schedule, q_learning_run
 from .rewards import compare_policies, hierarchy_from_dict, sweep_weights
 from .solve import policy_iteration, value_iteration

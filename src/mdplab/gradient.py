@@ -12,8 +12,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .mdp import Policy, QTable, ValidationError, expectations, policy_probs
-from .solve import ValueOverflowError
+from .mdp import (Policy, QTable, SingularSystemError, ValidationError, ValueOverflowError,
+                  as_integer, as_number, expectations, policy_probs, solve_system)
 
 FD_STEP = 1e-5
 REL_FLOOR = 1e-8
@@ -27,10 +27,6 @@ class ReducibleChainError(RuntimeError):
     """The policy-induced chain is not irreducible, so no unique stationary
     distribution exists.  When raised mid-ascent the partial objective trace
     and last parameters are attached as ``j_trace`` and ``theta``."""
-
-
-class SingularSystemError(RuntimeError):
-    """The stationary or differential-value linear system could not be solved."""
 
 
 def softmax_policy(theta):
@@ -91,10 +87,7 @@ def _chain(mdp, probs):
             "the stationary distribution is not unique"
         )
     system = np.eye(n) + 1.0 - np.swapaxes(p_pi, -1, -2)
-    try:
-        mu = np.linalg.solve(system, np.ones(p_pi.shape[:-1])[..., None])[..., 0]
-    except np.linalg.LinAlgError as exc:
-        raise SingularSystemError(f"stationary system is singular: {exc}") from exc
+    mu = solve_system(system, np.ones(p_pi.shape[:-1]), "stationary")
     mu = mu / mu.sum(axis=-1, keepdims=True)
     return r_pi, p_pi, mu, _gain(mu, r_pi)
 
@@ -122,10 +115,7 @@ def differential_q(mdp, policy, mu):
 def _differential(mdp, r_pi, p_pi, mu, j):
     n = p_pi.shape[0]
     system = np.eye(n) - p_pi + np.outer(np.ones(n), mu)
-    try:
-        v = np.linalg.solve(system, r_pi - j)
-    except np.linalg.LinAlgError as exc:
-        raise SingularSystemError(f"differential-value system is singular: {exc}") from exc
+    v = solve_system(system, r_pi - j, "differential-value")
     v -= mu @ v
     return mdp.rewards - j + mdp.transitions @ v
 
@@ -205,16 +195,17 @@ def ascent_trace(mdp, theta0, step_size, iters):
     raises ValueOverflowError before its step is taken, and so does a step
     that overflows theta.
     """
-    step_size = float(step_size)
+    step_size = as_number(step_size, "step_size", ValidationError)
     if not (np.isfinite(step_size) and step_size > 0.0):
         raise ValidationError(f"step_size must be finite and > 0, got {step_size}")
-    if int(iters) < 1:
+    iters = as_integer(iters, "iters")
+    if iters < 1:
         raise ValidationError("iters must be >= 1")
     theta = np.array(theta0, dtype=float)
     js = []
     grad_norms = []
     try:
-        for k in range(int(iters)):
+        for k in range(iters):
             grad, j = _gradient(mdp, theta)
             # An overflow is reported by the finiteness check below, not as a warning.
             with np.errstate(over="ignore"):

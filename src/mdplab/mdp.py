@@ -13,6 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 ROW_SUM_TOL = 1e-9
+_NUMBER_TYPES = (int, float, np.integer, np.floating)  # built once; as_number runs per entry
 
 
 class ValidationError(ValueError):
@@ -42,6 +43,15 @@ class GridMismatchError(MissingEntryError):
 
 class NonFiniteRewardError(ValidationError):
     """A reward entry is NaN or infinite."""
+
+
+class ValueOverflowError(ValidationError):
+    """Values left the floating-point range: the rewards are too large for
+    the discount factor, or for a policy-gradient step."""
+
+
+class SingularSystemError(RuntimeError):
+    """A discounted, stationary or differential-value system is singular."""
 
 
 class UnknownStateError(ValidationError):
@@ -175,15 +185,25 @@ def _check_names(names, what):
 
 
 def as_number(value, where, err=SchemaError):
-    """The number rule of every document: an int or a float, not a bool
-    and not a string, returned as a float; anything else raises ``err``."""
+    """The number rule of every document and argument: an int, a float or a
+    numpy integer or floating scalar, not a bool (nor ``np.bool_``) and not
+    a string, returned as a float; anything else raises ``err``."""
     # bool is an int subclass; JSON true/false is not a number here
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
+    if isinstance(value, bool) or not isinstance(value, _NUMBER_TYPES):
         raise err(f"{where} must be a number, got {value!r}")
     try:
         return float(value)
     except OverflowError:  # a JSON integer beyond the float range
         raise err(f"{where} is too large for a float") from None
+
+
+def as_integer(value, where):
+    """The integer rule of library counts: an int or a numpy integer, not a
+    bool, returned as an int; anything else, a float included, raises
+    ValidationError rather than being truncated."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise ValidationError(f"{where} must be an integer, got {value!r}")
+    return int(value)
 
 
 def check_object(doc, required, optional, where, err=SchemaError):
@@ -341,18 +361,23 @@ def load_dynamics(path):
     return validate_mdp(load_json(path), require_rewards=False)
 
 
+def successor_cdf(transitions):
+    """Inverse-CDF table of successor draws: each transition row's running
+    sums with the last entry dropped, so the right-side search index of a
+    uniform is at most S - 1 and a draw at or above a row total that rounds
+    below 1 lands on the last state."""
+    return np.cumsum(transitions, axis=-1)[..., :-1]
+
+
 def step(mdp, state, action, rng):
     """Sample one transition; returns (reward, next_state).
 
-    The successor is drawn by inverse CDF over the declared state order,
-    consuming exactly one uniform from ``rng``.
+    The successor is drawn by inverse CDF (``successor_cdf``), consuming
+    exactly one uniform from ``rng``.
     """
     s = mdp.state_index(state)
     a = mdp.action_index(action)
-    cum = np.cumsum(mdp.transitions[s, a])
-    nxt = int(np.searchsorted(cum, rng.random(), side="right"))
-    if nxt >= mdp.n_states:
-        nxt = mdp.n_states - 1
+    nxt = int(np.searchsorted(successor_cdf(mdp.transitions[s, a]), rng.random(), side="right"))
     return float(mdp.rewards[s, a]), mdp.states[nxt]
 
 
@@ -378,13 +403,22 @@ def policy_probs(mdp, policy):
     return policy.probs
 
 
+def solve_system(system, rhs, what):
+    """x with system @ x = rhs, for one (n, n) system or a (..., n, n) stack;
+    a singular system raises SingularSystemError naming ``what``."""
+    try:
+        return np.linalg.solve(system, rhs[..., None])[..., 0]
+    except np.linalg.LinAlgError as exc:
+        raise SingularSystemError(f"{what} system is singular: {exc}") from exc
+
+
 def evaluate(mdp, probs):
     """Discounted values V (S,) of an (S, A) action-probability array, or
     (K, S) of each policy in a (K, S, A) stack: one direct solve of
     (I - gamma P_pi) V = R_pi per policy."""
     r_pi, p_pi = expectations(mdp, probs)
     system = np.eye(mdp.n_states) - mdp.gamma * p_pi
-    return np.linalg.solve(system, r_pi[..., None])[..., 0]
+    return solve_system(system, r_pi, "discounted-value")
 
 
 def policy_evaluate(mdp, policy):

@@ -14,7 +14,7 @@ from itertools import islice, repeat
 
 import numpy as np
 
-from .mdp import QTable, ValidationError, as_number
+from .mdp import QTable, ValidationError, as_integer, as_number, successor_cdf
 
 _CHUNK = 1 << 14
 # Longest per-run table of schedule.rate values (about 8 MB of floats); a
@@ -53,7 +53,7 @@ class LearningRateSchedule:
 
     @classmethod
     def harmonic(cls, p):
-        p = float(p)
+        p = as_number(p, "harmonic power", ValidationError)
         if not np.isfinite(p):
             raise ValidationError("p must be finite")
         if p <= 0.0:
@@ -64,7 +64,7 @@ class LearningRateSchedule:
 
     @classmethod
     def constant(cls, c):
-        c = float(c)
+        c = as_number(c, "constant rate", ValidationError)
         if not np.isfinite(c) or c < 0.0:
             raise NegativeRateError(f"constant rate must be >= 0, got {c}")
         if c >= 1.0:
@@ -73,7 +73,7 @@ class LearningRateSchedule:
 
     @classmethod
     def from_table(cls, values):
-        values = tuple(float(v) for v in values)
+        values = tuple(as_number(v, "a table rate", ValidationError) for v in values)
         if not values:
             raise ValidationError("rate table must be nonempty")
         if any(not np.isfinite(v) or v < 0.0 for v in values):
@@ -166,9 +166,7 @@ class QLearnConfig:
 
     def __post_init__(self):
         for name in ("seed", "steps", "checkpoint_every"):
-            value = getattr(self, name)
-            if not isinstance(value, (int, np.integer)) or isinstance(value, bool):
-                raise ValidationError(f"{name} must be an integer, got {value!r}")
+            as_integer(getattr(self, name), name)
         if self.seed < 0:
             raise ValidationError(f"seed must be >= 0, got {self.seed}")
         if self.steps < 1:
@@ -176,11 +174,7 @@ class QLearnConfig:
         if self.checkpoint_every < 1:
             raise ValidationError("checkpoint_every must be >= 1")
         for name in ("epsilon", "q_init"):
-            value = getattr(self, name)
-            # numpy scalars are numbers here, as they are for the integer fields
-            if isinstance(value, (np.integer, np.floating)):
-                value = float(value)
-            as_number(value, name, err=ValidationError)
+            as_number(getattr(self, name), name, err=ValidationError)
         if not 0.0 <= self.epsilon <= 1.0:
             raise ValidationError("epsilon must lie in [0, 1]")
         if not np.isfinite(self.q_init):
@@ -235,7 +229,7 @@ def q_learning_run(mdp, config, oracle):
 
     Every step consumes four uniforms from a PCG64 stream seeded with
     config.seed: restart draw, exploration coin, exploration action, and
-    transition draw (inverse CDF over the declared state order).  Behavior is
+    transition draw (inverse CDF, ``successor_cdf``).  Behavior is
     epsilon-greedy over the current table with ties to the lowest action
     index; the update bootstraps on the sampled successor either way.  The
     trace records the sup-norm distance to the oracle's action values every
@@ -249,13 +243,7 @@ def q_learning_run(mdp, config, oracle):
         frozenset(np.nonzero(row >= row.max() - OPTIMAL_SET_TOL)[0].tolist()) for row in q_star
     ]
     q_star = q_star.tolist()
-    # Each row's last cumulative entry is dropped, so bisect_right returns at
-    # most n_s - 1: a draw at or above a total that rounds below 1 lands on
-    # the last state.
-    cum = [
-        [np.cumsum(mdp.transitions[s, a])[:-1].tolist() for a in range(n_a)]
-        for s in range(n_s)
-    ]
+    cum = successor_cdf(mdp.transitions).tolist()
     rewards = mdp.rewards.tolist()
     gamma = mdp.gamma
     eps = config.epsilon

@@ -17,6 +17,7 @@ from .mdp import (
     NonFiniteRewardError,
     SchemaError,
     ValidationError,
+    as_integer,
     as_number,
     check_object,
     table_from_dict,
@@ -134,14 +135,13 @@ class RewardHierarchy:
         object.__setattr__(self, "levels", levels)
 
 
-def _composed(levels, override=None):
+def _composed(levels):
     total = np.zeros(levels[0].table.shape)
     # An overflow is reported by naming its level, not as a warning.
     with np.errstate(over="ignore", invalid="ignore"):
-        for i, level in enumerate(levels):
-            weight = level.weight if override is None or i not in override else override[i]
+        for level in levels:
             filtered = level.filter.apply(level.table) if level.filter else level.table
-            weighted = weight * filtered
+            weighted = level.weight * filtered
             if not np.isfinite(weighted).all():
                 stage = "weighted" if np.isfinite(filtered).all() else "filtered"
                 raise NonFiniteRewardError(
@@ -256,6 +256,16 @@ def compare_policies(dynamics, reward_a, reward_b):
     return _divergence(dynamics, _solve(dynamics, reward_a), _solve(dynamics, reward_b))
 
 
+def _reweighted(hierarchy, level_index, weight):
+    """The hierarchy's levels with one level's weight replaced."""
+    level_index = as_integer(level_index, "level index")
+    if not 0 <= level_index < len(hierarchy.levels):
+        raise ValidationError(f"no level at index {level_index}")
+    levels = list(hierarchy.levels)
+    levels[level_index] = replace(levels[level_index], weight=weight)
+    return tuple(levels)
+
+
 def sweep_weights(dynamics, hierarchy, level_index, grid):
     """Divergence of the composed objective as one level's weight varies.
 
@@ -264,23 +274,19 @@ def sweep_weights(dynamics, hierarchy, level_index, grid):
     composition where the same level has weight zero; the baseline is solved
     once.  Returns a list of (weight, divergence) pairs.
     """
-    if not 0 <= level_index < len(hierarchy.levels):
-        raise ValidationError(f"no level at index {level_index}")
-    grid = [float(w) for w in grid]
+    grid = [as_number(w, "a grid weight", ValidationError) for w in grid]
     if not grid:
         raise ValidationError("weight grid must be nonempty")
     if any(not np.isfinite(w) or w < 0.0 for w in grid):
         raise ValidationError("weights must be finite and >= 0")
-    sol_base = _solve(dynamics, _composed(hierarchy.levels, override={level_index: 0.0}))
+    sol_base = _solve(dynamics, _composed(_reweighted(hierarchy, level_index, 0.0)))
     out = []
     for w in grid:
-        table = _composed(hierarchy.levels, override={level_index: w})
+        table = _composed(_reweighted(hierarchy, level_index, w))
         out.append((w, _divergence(dynamics, sol_base, _solve(dynamics, table)).divergence))
     return out
 
 
 def level_with_weight(hierarchy, level_index, weight):
     """Copy of the hierarchy with one level's weight replaced."""
-    levels = list(hierarchy.levels)
-    levels[level_index] = replace(levels[level_index], weight=weight)
-    return RewardHierarchy(tuple(levels))
+    return RewardHierarchy(_reweighted(hierarchy, level_index, weight))

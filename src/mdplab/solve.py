@@ -9,17 +9,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .mdp import (Policy, QTable, ValidationError, ValueFunction, evaluate,
-                  policy_evaluate, with_rewards)
+from .mdp import (Policy, QTable, ValidationError, ValueFunction, ValueOverflowError,
+                  as_integer, as_number, evaluate, policy_evaluate, with_rewards)
 
 DOMINANCE_SLACK = 1e-7
 MAX_SWEEPS = 1_000_000
 MAX_POLICY_ITERATIONS = 10_000
-
-
-class ValueOverflowError(ValidationError):
-    """Values left the floating-point range: the rewards are too large for
-    the discount factor, or for a policy-gradient step."""
 
 
 class SweepLimitError(ValidationError):
@@ -99,7 +94,7 @@ def value_iteration(mdp, epsilon):
     ValueOverflowError once the change is not finite, since it can then
     never fall below the threshold.
     """
-    epsilon = float(epsilon)
+    epsilon = as_number(epsilon, "epsilon", ValidationError)
     gamma = mdp.gamma
     threshold = epsilon * (1.0 - gamma) / (2.0 * gamma) if gamma > 0.0 else np.inf
     # a threshold that underflows to 0 could never be met
@@ -191,7 +186,7 @@ def verify_deterministic_optimality(mdp, trials, rng, slack=DOMINANCE_SLACK):
     Dirichlet (full support on the simplex), evaluates each exactly, and
     records every state where a sampled policy exceeds V* + slack.
     """
-    trials = int(trials)
+    trials = as_integer(trials, "trials")
     if trials < 1:
         raise ValidationError("trials must be >= 1")
     solution = policy_iteration(mdp)

@@ -14,6 +14,7 @@ from mdplab import (
     NonFiniteThetaError,
     Policy,
     ReducibleChainError,
+    SingularSystemError,
     ValidationError,
     average_reward,
     differential_q,
@@ -192,6 +193,12 @@ class TestDifferentialQ:
         assert_allclose(mu, [0.5, 0.5], atol=1e-12)
         assert j == pytest.approx(0.25, abs=1e-12)
         assert_allclose(q.values, [[-0.5, 0.0], [1.0, -0.5]], atol=1e-12)
+
+    def test_singular_system_is_named(self, stay_go):
+        # with mu = 0 the bordered system is I - P_go, whose rows sum to 0
+        go = Policy.deterministic(np.ones(2, dtype=np.int64))
+        with pytest.raises(SingularSystemError, match="differential-value system is singular"):
+            differential_q(stay_go, go, np.zeros(2))
 
     def test_stay_go_uniform_against_simulation(self, stay_go):
         # Monte-Carlo oracle: one 10M-step trajectory under the uniform

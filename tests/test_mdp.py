@@ -1,6 +1,7 @@
-"""Validation, sampling, and policy evaluation for the core MDP types."""
+"""Validation, sampling, policy evaluation and the shared numeric rules of the core MDP module."""
 
 import json
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -10,23 +11,33 @@ from numpy.testing import assert_allclose
 
 from mdplab import (
     GammaRangeError,
+    LearningRateSchedule,
     MissingEntryError,
     NonFiniteRewardError,
     Policy,
     RowSumError,
     SchemaError,
+    SingularSystemError,
     UnknownActionError,
     UnknownStateError,
     ValidationError,
+    egoism_vs_humanity,
     evaluate,
+    gradient_ascent,
+    make_mdp,
     mdp_to_dict,
     policy_evaluate,
     policy_probs,
     random_mdp,
+    stay_go_mdp,
     step,
+    sweep_weights,
     validate_mdp,
+    value_iteration,
+    verify_deterministic_optimality,
     with_rewards,
 )
+from mdplab.mdp import as_integer, as_number, solve_system
 
 
 def one_state_doc(gamma=0.9, reward=1.0, self_loop=1.0):
@@ -152,6 +163,95 @@ class TestStep:
     def test_unknown_state(self, stay_go):
         with pytest.raises(UnknownStateError):
             step(stay_go, "s9", "go", np.random.default_rng(0))
+
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data())
+    def test_successor_is_the_clamped_inverse_cdf(self, data):
+        # the rule step replaced: search the full cumulative row, then clamp
+        # an index past the last state back onto it
+        n = data.draw(st.integers(1, 8))
+        weights = data.draw(st.lists(st.just(0.0) | st.floats(0.0, 1.0), min_size=n, max_size=n))
+        if sum(weights) == 0.0:
+            weights[data.draw(st.integers(0, n - 1))] = 1.0
+        scale = data.draw(st.sampled_from([1.0, 1.0 - 1e-10]))
+        row = np.array(weights) / sum(weights) * scale
+        states = [f"s{k}" for k in range(n)]
+        mdp = make_mdp(states, ["a"], 0.5, np.tile(row, (n, 1, 1)), np.zeros((n, 1)))
+        cum = np.cumsum(mdp.transitions[0, 0])
+        top = 1.0 - 2.0**-53  # the largest uniform below 1
+        u = data.draw(st.floats(0.0, 1.0, exclude_max=True) | st.just(top)
+                      | st.sampled_from(cum.tolist()).map(lambda c: min(c, top)))
+        expected = min(int(np.searchsorted(cum, u, side="right")), n - 1)
+        assert step(mdp, "s0", "a", SimpleNamespace(random=lambda: u))[1] == states[expected]
+
+
+class TestNumberRules:
+    @pytest.mark.parametrize("value", [3, 0.5, np.int64(1), np.uint8(2), np.float32(0.25)])
+    def test_python_and_numpy_numbers_are_numbers(self, value):
+        assert as_number(value, "x") == float(value)
+        assert type(as_number(value, "x")) is float
+
+    @pytest.mark.parametrize("value", [True, np.bool_(True), "1", None, [1.0]])
+    def test_bools_strings_and_others_are_not(self, value):
+        with pytest.raises(SchemaError, match="x must be a number"):
+            as_number(value, "x")
+
+    @pytest.mark.parametrize("value", [3, np.int64(3), np.uint8(3)])
+    def test_python_and_numpy_integers_are_integers(self, value):
+        assert as_integer(value, "n") == 3
+        assert type(as_integer(value, "n")) is int
+
+    @pytest.mark.parametrize("value", [3.0, 2.7, np.float64(3.0), True, np.bool_(True), "3", None])
+    def test_floats_bools_and_strings_are_not_integers(self, value):
+        with pytest.raises(ValidationError, match="n must be an integer"):
+            as_integer(value, "n")
+
+    @pytest.mark.parametrize("call", [
+        lambda: LearningRateSchedule.harmonic("0.5"),
+        lambda: LearningRateSchedule.harmonic(True),
+        lambda: LearningRateSchedule.harmonic(None),
+        lambda: LearningRateSchedule.constant("0.5"),
+        lambda: LearningRateSchedule.from_table("0.5"),
+        lambda: LearningRateSchedule.from_table([0.5, None]),
+        lambda: value_iteration(stay_go_mdp(), "1e-8"),
+        lambda: sweep_weights(*egoism_vs_humanity(), 1, [True, "2"]),
+        lambda: gradient_ascent(stay_go_mdp(), np.zeros((2, 2)), "0.1", 3),
+    ], ids=["harmonic-str", "harmonic-bool", "harmonic-none", "constant-str",
+            "table-str", "table-none", "epsilon-str", "grid-bool", "step-size-str"])
+    def test_library_numbers_follow_the_number_rule(self, call):
+        with pytest.raises(ValidationError, match="must be a number"):
+            call()
+
+    @pytest.mark.parametrize("call", [
+        lambda: gradient_ascent(stay_go_mdp(), np.zeros((2, 2)), 0.1, 2.7),
+        lambda: gradient_ascent(stay_go_mdp(), np.zeros((2, 2)), 0.1, True),
+        lambda: verify_deterministic_optimality(stay_go_mdp(), 2.9, np.random.default_rng(0)),
+        lambda: sweep_weights(*egoism_vs_humanity(), 0.5, [1.0]),
+    ], ids=["iters-float", "iters-bool", "trials-float", "level-float"])
+    def test_library_counts_are_never_truncated(self, call):
+        with pytest.raises(ValidationError, match="must be an integer"):
+            call()
+
+    def test_library_takes_numpy_scalars(self, stay_go):
+        _, js = gradient_ascent(stay_go, np.zeros((2, 2)), 0.1, np.int64(3))
+        assert len(js) == 4
+        report = verify_deterministic_optimality(stay_go, np.int64(3), np.random.default_rng(0))
+        assert report.trials == 3 and type(report.trials) is int
+        assert LearningRateSchedule.harmonic(np.float32(0.5)).p == 0.5
+
+
+class TestSolveSystem:
+    def test_a_stack_solves_each_system(self, rng):
+        systems = rng.normal(size=(4, 5, 5)) + 5.0 * np.eye(5)
+        rhs = rng.normal(size=(4, 5))
+        stacked = solve_system(systems, rhs, "test")
+        for system, b, x in zip(systems, rhs, stacked):
+            assert np.array_equal(solve_system(system, b, "test"), x)
+            assert_allclose(system @ x, b, atol=1e-12)
+
+    def test_a_singular_system_is_named(self):
+        with pytest.raises(SingularSystemError, match="test system is singular"):
+            solve_system(np.ones((3, 2, 2)), np.ones((3, 2)), "test")
 
 
 class TestPolicyEvaluate:

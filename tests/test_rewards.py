@@ -369,3 +369,16 @@ class TestHierarchyParsing:
     def test_table_from_dict_rejects_unknown_names(self):
         with pytest.raises(GridMismatchError):
             table_from_dict(("s0",), ("a0",), {"s0": {"a0": 1.0}, "sX": {"a0": 0.0}})
+
+
+def test_numpy_scalars_are_numbers():
+    level = RewardLevel("x", np.zeros((2, 2)), np.int64(1))
+    assert level.weight == 1.0 and type(level.weight) is float
+    assert UtilityFilter(np.array([[0, 0], [1, 1]])).knots == ((0.0, 0.0), (1.0, 1.0))
+
+
+def test_numpy_bools_are_not_numbers():
+    with pytest.raises(ValidationError, match="weight must be a number"):
+        RewardLevel("x", np.zeros((2, 2)), np.bool_(True))
+    with pytest.raises(NonMonotoneFilterError, match="must be a number"):
+        UtilityFilter(np.array([[False, False], [True, True]]))
