@@ -22,6 +22,7 @@ import argparse
 import json
 import os
 import sys
+from contextlib import suppress
 
 import numpy as np
 
@@ -71,10 +72,8 @@ def emit_csv(records, header, out_path=None):
             fh.write(text)
         os.replace(tmp_path, out_path)
     except OSError:
-        try:
+        with suppress(OSError):
             os.unlink(tmp_path)
-        except OSError:
-            pass
         raise
 
 

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .mdp import (Policy, QTable, SingularSystemError, ValidationError, ValueOverflowError,
-                  as_integer, as_number, expectations, policy_probs, solve_system)
+                  as_integer, as_number, expectations, frozen_array, policy_probs, solve_system)
 
 FD_STEP = 1e-5
 REL_FLOOR = 1e-8
@@ -35,7 +35,7 @@ def softmax_policy(theta):
     The row maximum is subtracted before exponentiation, so extreme logits
     saturate instead of overflowing.
     """
-    theta = np.asarray(theta, dtype=float)
+    theta = frozen_array(theta, "theta")
     if theta.ndim != 2:
         raise ValidationError("theta must be an (S, A) array")
     if not np.all(np.isfinite(theta)):
@@ -107,7 +107,7 @@ def differential_q(mdp, policy, mu):
     rank-deficient Poisson system, then Q(s, a) = R(s, a) - J + P(.|s, a) . V.
     """
     r_pi, p_pi = expectations(mdp, policy_probs(mdp, policy))
-    mu = np.asarray(mu, dtype=float)
+    mu = frozen_array(mu, "mu")
     j = float(_gain(mu, r_pi))
     return QTable(_differential(mdp, r_pi, p_pi, mu, j)), j
 
@@ -162,7 +162,7 @@ def gradient_check(mdp, theta):
     denominator.  A bump in row s changes only that row of the policy, so the
     2A perturbed chains of one state are built and solved as one stack.
     """
-    theta = np.asarray(theta, dtype=float)
+    theta = frozen_array(theta, "theta")
     analytic = policy_gradient_analytic(mdp, theta)
     n_s, n_a = theta.shape
     base = softmax_policy(theta).probs
@@ -201,7 +201,7 @@ def ascent_trace(mdp, theta0, step_size, iters):
     iters = as_integer(iters, "iters")
     if iters < 1:
         raise ValidationError("iters must be >= 1")
-    theta = np.array(theta0, dtype=float)
+    theta = frozen_array(theta0, "theta0")
     js = []
     grad_norms = []
     try:

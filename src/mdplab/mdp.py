@@ -62,8 +62,16 @@ class UnknownActionError(ValidationError):
     pass
 
 
-def _frozen(arr):
-    arr = np.array(arr, dtype=float)
+def frozen_array(value, where):
+    """A read-only float copy of an array of ints or floats: as in ``as_number``,
+    a bool, a string or any other entry, or a ragged row, raises ValidationError."""
+    try:
+        arr = np.asarray(value)
+    except ValueError:  # ragged rows
+        arr = None
+    if arr is None or arr.dtype.kind not in "iuf":
+        raise ValidationError(f"every entry of {where} must be a number")
+    arr = arr.astype(float)
     arr.setflags(write=False)
     return arr
 
@@ -130,7 +138,7 @@ class Policy:
 
     @classmethod
     def stochastic(cls, probs):
-        arr = np.asarray(probs, dtype=float)
+        arr = frozen_array(probs, "policy probabilities")
         if arr.ndim != 2:
             raise ValidationError("stochastic policy needs an (S, A) matrix")
         if not np.all(np.isfinite(arr)):
@@ -139,7 +147,6 @@ class Policy:
             raise ValidationError("policy probabilities must lie in [0, 1]")
         if np.abs(arr.sum(axis=1) - 1.0).max() > ROW_SUM_TOL:
             raise ValidationError("policy rows must sum to 1 within 1e-9")
-        arr = _frozen(arr)
         return cls("stochastic", probs=arr)
 
     def as_dict(self, mdp):
@@ -155,7 +162,7 @@ class ValueFunction:
     values: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "values", _frozen(self.values))
+        object.__setattr__(self, "values", frozen_array(self.values, "values"))
 
     def as_dict(self, mdp):
         return labeled(mdp, self.values)
@@ -261,8 +268,8 @@ def make_mdp(states, actions, gamma, transitions, rewards):
     if not (0.0 <= gamma < 1.0):
         raise GammaRangeError(f"gamma must satisfy 0 <= gamma < 1, got {gamma}")
     n_s, n_a = len(states), len(actions)
-    t = np.asarray(transitions, dtype=float)
-    r = np.asarray(rewards, dtype=float)
+    t = frozen_array(transitions, "transitions")
+    r = frozen_array(rewards, "rewards")
     if t.shape != (n_s, n_a, n_s):
         raise GridMismatchError(
             f"transitions must have shape {(n_s, n_a, n_s)}, got {t.shape}"
@@ -282,7 +289,7 @@ def make_mdp(states, actions, gamma, transitions, rewards):
         )
     if not np.all(np.isfinite(r)):
         raise NonFiniteRewardError("rewards must be finite")
-    return Mdp(states, actions, gamma, _frozen(t), _frozen(r), float(np.abs(r).max()))
+    return Mdp(states, actions, gamma, t, r, float(np.abs(r).max()))
 
 
 def with_rewards(mdp, rewards):
@@ -311,9 +318,10 @@ def validate_mdp(doc, require_rewards=True):
             raise SchemaError(f"{where} must map successor states to probabilities")
         row = [0.0] * len(states)
         for nxt, p in entry.items():
-            if nxt not in index:
+            if (k := index.get(nxt)) is None:
                 raise SchemaError(f"{where} mentions unknown state {nxt!r}")
-            row[index[nxt]] = as_number(p, f"{where}[{nxt!r}]", err=RowSumError)
+            # as_number returns a float unchanged; only other values pay for the location
+            row[k] = p if type(p) is float else as_number(p, f"{where}[{nxt!r}]", RowSumError)
         return row
 
     transitions = _grid(doc["transitions"], states, actions, "transitions", transition_row)
@@ -415,9 +423,10 @@ def solve_system(system, rhs, what):
 def evaluate(mdp, probs):
     """Discounted values V (S,) of an (S, A) action-probability array, or
     (K, S) of each policy in a (K, S, A) stack: one direct solve of
-    (I - gamma P_pi) V = R_pi per policy."""
-    r_pi, p_pi = expectations(mdp, probs)
-    system = np.eye(mdp.n_states) - mdp.gamma * p_pi
+    (I - gamma P_pi) V = R_pi per policy, built in P_pi's own buffer."""
+    r_pi, system = expectations(mdp, probs)
+    system *= -mdp.gamma
+    np.einsum("...ii->...i", system)[...] += 1.0  # 1 + (-gamma p) rounds as 1 - gamma p
     return solve_system(system, r_pi, "discounted-value")
 
 

@@ -73,6 +73,8 @@ class LearningRateSchedule:
 
     @classmethod
     def from_table(cls, values):
+        if not np.iterable(values):
+            raise ValidationError("rate table must be a sequence; each rate must be a number")
         values = tuple(as_number(v, "a table rate", ValidationError) for v in values)
         if not values:
             raise ValidationError("rate table must be nonempty")
@@ -165,6 +167,8 @@ class QLearnConfig:
     start: str = "uniform"
 
     def __post_init__(self):
+        if not isinstance(self.schedule, LearningRateSchedule):
+            raise ValidationError(f"schedule {self.schedule!r} is not a LearningRateSchedule")
         for name in ("seed", "steps", "checkpoint_every"):
             as_integer(getattr(self, name), name)
         if self.seed < 0:

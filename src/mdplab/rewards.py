@@ -20,6 +20,7 @@ from .mdp import (
     as_integer,
     as_number,
     check_object,
+    frozen_array,
     table_from_dict,
     with_rewards,
 )
@@ -73,8 +74,7 @@ class UtilityFilter:
         xs = np.array([x for x, _ in self.knots])
         ys = np.array([y for _, y in self.knots])
         values = np.asarray(values, dtype=float)
-        scalar = values.ndim == 0
-        flat = np.atleast_1d(values).astype(float)
+        flat = np.atleast_1d(values)
         out = np.interp(flat, xs, ys)
         # A steep end segment extrapolates to +-inf, which callers check for.
         with np.errstate(over="ignore"):
@@ -86,7 +86,7 @@ class UtilityFilter:
             if hi.any():
                 slope = (ys[-1] - ys[-2]) / (xs[-1] - xs[-2])
                 out[hi] = ys[-1] + slope * (flat[hi] - xs[-1])
-        return float(out[0]) if scalar else out.reshape(values.shape)
+        return float(out[0]) if values.ndim == 0 else out.reshape(values.shape)
 
 
 @dataclass(frozen=True, eq=False)
@@ -101,7 +101,7 @@ class RewardLevel:
     def __post_init__(self):
         if not isinstance(self.name, str):
             raise SchemaError(f"a level name must be a string, got {self.name!r}")
-        table = np.asarray(self.table, dtype=float)
+        table = frozen_array(self.table, f"level {self.name!r} table")
         if table.ndim != 2:
             raise GridMismatchError(f"level {self.name!r} table must be (S, A)")
         if not np.all(np.isfinite(table)):
@@ -109,8 +109,6 @@ class RewardLevel:
         weight = as_number(self.weight, f"level {self.name!r} weight", ValidationError)
         if not np.isfinite(weight) or weight < 0.0:
             raise ValidationError(f"level {self.name!r} weight must be >= 0")
-        table = table.copy()
-        table.setflags(write=False)
         object.__setattr__(self, "table", table)
         object.__setattr__(self, "weight", weight)
 
@@ -234,15 +232,11 @@ def _divergence(dynamics, sol_a, sol_b):
         disjoint = not (set(names_a) & set(names_b))
         disjoint_count += disjoint
         per_state[s] = {"argmax_a": names_a, "argmax_b": names_b, "disjoint": disjoint}
-    gap = float(
-        np.abs(
-            _unit_scale(sol_a.v_star.values) - _unit_scale(sol_b.v_star.values)
-        ).max()
-    )
+    gap = np.abs(_unit_scale(sol_a.v_star.values) - _unit_scale(sol_b.v_star.values)).max()
     return DivergenceReport(
         per_state=per_state,
         divergence=disjoint_count / dynamics.n_states,
-        value_gap=gap,
+        value_gap=float(gap),
     )
 
 

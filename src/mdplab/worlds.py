@@ -2,7 +2,7 @@
 
 import numpy as np
 
-from .mdp import make_mdp
+from .mdp import make_mdp, with_rewards
 from .rewards import RewardHierarchy, RewardLevel
 
 
@@ -23,8 +23,7 @@ def stay_go_mdp(gamma=0.5):
 
 def stay_go_dynamics(gamma=0.9):
     """The stay/go transition structure with all-zero rewards."""
-    base = stay_go_mdp(gamma)
-    return make_mdp(base.states, base.actions, gamma, base.transitions, np.zeros((2, 2)))
+    return with_rewards(stay_go_mdp(gamma), np.zeros((2, 2)))
 
 
 def opposed_reward_pair():

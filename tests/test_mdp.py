@@ -1,6 +1,7 @@
 """Validation, sampling, policy evaluation and the shared numeric rules of the core MDP module."""
 
 import json
+import re
 from types import SimpleNamespace
 
 import numpy as np
@@ -15,6 +16,7 @@ from mdplab import (
     MissingEntryError,
     NonFiniteRewardError,
     Policy,
+    RewardLevel,
     RowSumError,
     SchemaError,
     SingularSystemError,
@@ -37,7 +39,7 @@ from mdplab import (
     verify_deterministic_optimality,
     with_rewards,
 )
-from mdplab.mdp import as_integer, as_number, solve_system
+from mdplab.mdp import as_integer, as_number, expectations, solve_system
 
 
 def one_state_doc(gamma=0.9, reward=1.0, self_loop=1.0):
@@ -136,6 +138,26 @@ class TestValidateMdp:
         with pytest.raises(RowSumError):
             validate_mdp(doc)
 
+    @pytest.mark.parametrize("entry, message", [
+        (1, None),
+        (1.0, None),
+        (True, "must be a number"),
+        ("0.5", "must be a number"),
+        (None, "must be a number"),
+        ([0.5], "must be a number"),
+        (10**400, "is too large for a float"),
+    ])
+    def test_transition_entries_follow_the_number_rule(self, entry, message):
+        # a plain float skips as_number; every other entry still goes through it
+        doc = one_state_doc(self_loop=entry)
+        if message is None:
+            mdp = validate_mdp(doc)
+            assert mdp.transitions[0, 0, 0] == 1.0 and mdp.transitions.dtype == float
+            return
+        where = "transitions['s0']['a0']['s0']"
+        with pytest.raises(RowSumError, match=re.escape(f"{where} {message}")):
+            validate_mdp(doc)
+
 
 class TestStep:
     def test_deterministic_transition_ignores_seed(self, stay_go):
@@ -216,8 +238,13 @@ class TestNumberRules:
         lambda: value_iteration(stay_go_mdp(), "1e-8"),
         lambda: sweep_weights(*egoism_vs_humanity(), 1, [True, "2"]),
         lambda: gradient_ascent(stay_go_mdp(), np.zeros((2, 2)), "0.1", 3),
+        lambda: LearningRateSchedule.from_table(None),
+        lambda: RewardLevel("x", [["a"]], 1.0),
+        lambda: gradient_ascent(stay_go_mdp(), "ab", 0.1, 2),
+        lambda: make_mdp(["s0"], ["a0"], 0.5, [[["1"]]], [[0.0]]),
     ], ids=["harmonic-str", "harmonic-bool", "harmonic-none", "constant-str",
-            "table-str", "table-none", "epsilon-str", "grid-bool", "step-size-str"])
+            "table-str", "table-none", "epsilon-str", "grid-bool", "step-size-str",
+            "table-not-a-sequence", "level-table-str", "theta0-str", "transitions-str"])
     def test_library_numbers_follow_the_number_rule(self, call):
         with pytest.raises(ValidationError, match="must be a number"):
             call()
@@ -303,6 +330,36 @@ class TestPolicyEvaluate:
         assert np.array_equal(probs, np.eye(3)[acts])
         with pytest.raises(ValidationError):
             policy_probs(mdp, Policy.deterministic(np.array([0, 0, 0, 0, 3])))
+
+    @pytest.mark.parametrize("sparse", [False, True], ids=["dense", "one-successor"])
+    def test_evaluate_is_the_textbook_solve_bit_for_bit(self, sparse):
+        # I - gamma P_pi is built in P_pi's buffer; the values must not move by one bit
+        gen = np.random.default_rng(29 + sparse)
+        for trial in range(40):
+            n_s, n_a = int(gen.integers(1, 25)), int(gen.integers(1, 5))
+            if sparse:
+                transitions = np.zeros((n_s, n_a, n_s))
+                for s in range(n_s):
+                    for a in range(n_a):
+                        transitions[s, a, gen.integers(n_s)] = 1.0
+            else:
+                transitions = gen.dirichlet(np.ones(n_s), size=(n_s, n_a))
+            rewards = [
+                np.zeros((n_s, n_a)),  # the sign-of-zero case
+                gen.choice([-0.0, 0.0, -1.0, 3.0], size=(n_s, n_a)),
+                gen.normal(size=(n_s, n_a)),
+            ][trial % 3]
+            gamma = (0.0, 0.5, 0.9, 0.999)[trial % 4]
+            mdp = make_mdp([f"s{i}" for i in range(n_s)], [f"a{j}" for j in range(n_a)],
+                           gamma, transitions, rewards)
+            for probs in (gen.dirichlet(np.ones(n_a), size=n_s),
+                          np.eye(n_a)[gen.integers(n_a, size=n_s)],
+                          gen.dirichlet(np.ones(n_a), size=(3, n_s))):
+                before = probs.copy()
+                r_pi, p_pi = expectations(mdp, probs)
+                textbook = np.linalg.solve(np.eye(n_s) - gamma * p_pi, r_pi[..., None])[..., 0]
+                assert evaluate(mdp, probs).tobytes() == textbook.tobytes()
+                assert probs.tobytes() == before.tobytes()
 
     def test_policy_must_cover_states(self, stay_go):
         with pytest.raises(ValidationError):

@@ -142,6 +142,12 @@ class TestConfigValidation:
                               **{field: value})
         assert getattr(config, field) == value
 
+    @pytest.mark.parametrize("schedule", [None, "harmonic", 0.5, LearningRateSchedule.harmonic])
+    def test_schedule_must_be_a_schedule(self, schedule):
+        # checked up front: a run would otherwise fail on schedule.rate
+        with pytest.raises(ValidationError, match="is not a LearningRateSchedule"):
+            QLearnConfig(schedule=schedule, steps=10)
+
     @pytest.mark.parametrize("seed", [0, np.int64(7), 2**70])
     def test_nonnegative_integer_seeds_are_accepted(self, seed):
         config = QLearnConfig(schedule=LearningRateSchedule.harmonic(1.0), steps=10,
