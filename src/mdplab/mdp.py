@@ -8,7 +8,7 @@ one stream per running experiment.
 """
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -80,9 +80,9 @@ def frozen_array(value, where):
 class Mdp:
     """A validated finite discounted MDP.
 
-    ``transitions[s, a]`` is the probability row over successor states and
-    sums to 1 within 1e-9; ``rewards[s, a]`` is the scalar reward for taking
-    action ``a`` in state ``s``; ``reward_bound`` is max |R|.
+    ``transitions[s, a]`` is the successor distribution (``make_mdp`` checks
+    it sums to 1); ``rewards[s, a]``, the reward for action ``a`` in state
+    ``s``, is checked here as a finite (S, A) table; ``reward_bound`` is max |R|.
     """
 
     states: tuple
@@ -90,7 +90,16 @@ class Mdp:
     gamma: float
     transitions: np.ndarray
     rewards: np.ndarray
-    reward_bound: float
+    reward_bound: float = field(init=False)
+
+    def __post_init__(self):
+        r = frozen_array(self.rewards, "rewards")
+        if r.shape != (grid := (self.n_states, self.n_actions)):
+            raise GridMismatchError(f"rewards must have shape {grid}, got {r.shape}")
+        if not np.all(np.isfinite(r)):
+            raise NonFiniteRewardError("rewards must be finite")
+        object.__setattr__(self, "rewards", r)
+        object.__setattr__(self, "reward_bound", float(np.abs(r).max()))
 
     @property
     def n_states(self):
@@ -150,9 +159,10 @@ class Policy:
         return cls("stochastic", probs=arr)
 
     def as_dict(self, mdp):
+        probs = policy_probs(mdp, self)  # the policy must fit the grid
         if self.kind == "deterministic":
             return {s: mdp.actions[a] for s, a in zip(mdp.states, self.actions)}
-        return labeled(mdp, self.probs)
+        return labeled(mdp, probs)
 
 
 @dataclass(frozen=True, eq=False)
@@ -175,6 +185,8 @@ class QTable(ValueFunction):
 def labeled(mdp, array):
     """JSON-ready {state: x} of an (S,) array, or {state: {action: x}} of an
     (S, A) array, keyed by the MDP's names; entries are Python numbers."""
+    if array.shape not in ((mdp.n_states,), (mdp.n_states, mdp.n_actions)):
+        raise ValidationError(f"an array of shape {array.shape} does not fit the grid")
     if array.ndim == 1:
         return dict(zip(mdp.states, array.tolist()))
     return {s: dict(zip(mdp.actions, row)) for s, row in zip(mdp.states, array.tolist())}
@@ -261,7 +273,7 @@ def table_from_dict(states, actions, doc):
 
 
 def make_mdp(states, actions, gamma, transitions, rewards):
-    """Build a validated Mdp from arrays, computing the reward bound."""
+    """Build a validated Mdp from arrays (``Mdp`` checks the reward table)."""
     states = _check_names(states, "states")
     actions = _check_names(actions, "actions")
     gamma = as_number(gamma, "gamma", err=GammaRangeError)
@@ -269,13 +281,10 @@ def make_mdp(states, actions, gamma, transitions, rewards):
         raise GammaRangeError(f"gamma must satisfy 0 <= gamma < 1, got {gamma}")
     n_s, n_a = len(states), len(actions)
     t = frozen_array(transitions, "transitions")
-    r = frozen_array(rewards, "rewards")
     if t.shape != (n_s, n_a, n_s):
         raise GridMismatchError(
             f"transitions must have shape {(n_s, n_a, n_s)}, got {t.shape}"
         )
-    if r.shape != (n_s, n_a):
-        raise GridMismatchError(f"rewards must have shape {(n_s, n_a)}, got {r.shape}")
     if not np.all(np.isfinite(t)):
         raise RowSumError("transition probabilities must be finite")
     if t.min() < 0.0 or t.max() > 1.0:
@@ -287,14 +296,12 @@ def make_mdp(states, actions, gamma, transitions, rewards):
             f"transition row ({states[s]!r}, {actions[a]!r}) sums to "
             f"{t[s, a].sum()!r}, not 1 within {ROW_SUM_TOL}"
         )
-    if not np.all(np.isfinite(r)):
-        raise NonFiniteRewardError("rewards must be finite")
-    return Mdp(states, actions, gamma, t, r, float(np.abs(r).max()))
+    return Mdp(states, actions, gamma, t, rewards)
 
 
 def with_rewards(mdp, rewards):
-    """Copy of an Mdp with its reward table replaced (bound recomputed)."""
-    return make_mdp(mdp.states, mdp.actions, mdp.gamma, mdp.transitions, rewards)
+    """Copy of an Mdp with a new reward table: only the table is checked."""
+    return replace(mdp, rewards=rewards)
 
 
 def validate_mdp(doc, require_rewards=True):

@@ -73,7 +73,7 @@ class UtilityFilter:
         """Evaluate the map at an array (or scalar) of inputs."""
         xs = np.array([x for x, _ in self.knots])
         ys = np.array([y for _, y in self.knots])
-        values = np.asarray(values, dtype=float)
+        values = frozen_array(values, "filter inputs")
         flat = np.atleast_1d(values)
         out = np.interp(flat, xs, ys)
         # A steep end segment extrapolates to +-inf, which callers check for.

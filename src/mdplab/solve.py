@@ -10,7 +10,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .mdp import (Policy, QTable, ValidationError, ValueFunction, ValueOverflowError,
-                  as_integer, as_number, evaluate, policy_evaluate, with_rewards)
+                  as_integer, as_number, evaluate, frozen_array, with_rewards)
 
 DOMINANCE_SLACK = 1e-7
 MAX_SWEEPS = 1_000_000
@@ -24,9 +24,17 @@ class SweepLimitError(ValidationError):
     MAX_POLICY_ITERATIONS iterations."""
 
 
+def _lookahead(mdp, v):
+    # the solvers' own unchecked step: v is already an (S,) float array
+    return mdp.rewards + mdp.gamma * (mdp.transitions @ v)
+
+
 def q_from_v(mdp, v):
     """One-step lookahead: Q(s, a) = R(s, a) + gamma sum_s' P(s'|s, a) V(s')."""
-    return mdp.rewards + mdp.gamma * (mdp.transitions @ np.asarray(v, dtype=float))
+    v = frozen_array(v, "v")
+    if v.shape != (mdp.n_states,):
+        raise ValidationError(f"v must have shape {(mdp.n_states,)}, got {v.shape}")
+    return _lookahead(mdp, v)
 
 
 def bellman_backup(mdp, v):
@@ -57,13 +65,13 @@ class SolveResult:
 def _result_from_v(mdp, v, iterations, shift=0):
     # Undo a 2^-shift reward scale; one more lookahead makes v_star = max_a q_star.
     with np.errstate(over="ignore", invalid="ignore"):
-        q = q_from_v(mdp, np.ldexp(v, shift))
+        q = _lookahead(mdp, np.ldexp(v, shift))
     if not np.isfinite(q).all():
         raise ValueOverflowError(
             f"values overflow; rewards are too large for gamma {mdp.gamma}"
         )
     v_star = q.max(axis=1)
-    residual = float(np.abs(bellman_backup(mdp, v_star) - v_star).max())
+    residual = float(np.abs(_lookahead(mdp, v_star).max(axis=1) - v_star).max())
     return SolveResult(
         v_star=ValueFunction(v_star),
         q_star=QTable(q),
@@ -110,7 +118,7 @@ def value_iteration(mdp, epsilon):
     # An overflow is reported by the finiteness check below, not as a warning.
     with np.errstate(over="ignore", invalid="ignore"):
         for iterations in range(1, MAX_SWEEPS + 1):
-            nxt = bellman_backup(mdp, v)
+            nxt = _lookahead(mdp, v).max(axis=1)
             change = np.abs(nxt - v).max()
             if not change < np.inf:  # inf or NaN
                 raise ValueOverflowError(
@@ -147,12 +155,12 @@ def policy_iteration(mdp):
     rounding = 8.0 * np.finfo(float).eps / (1.0 - mdp.gamma)
     v_prev, flat = None, 0
     for iterations in range(1, MAX_POLICY_ITERATIONS + 1):
-        v = policy_evaluate(scaled, Policy.deterministic(acts)).values
+        v = evaluate(scaled, np.eye(mdp.n_actions)[acts])
         if v_prev is not None:
             flat = 0 if (v - v_prev).max() > rounding * np.abs(v).max() else flat + 1
             if flat == 2:
                 break
-        greedy = q_from_v(scaled, v).argmax(axis=1)
+        greedy = _lookahead(scaled, v).argmax(axis=1)
         if np.array_equal(greedy, acts):
             break
         acts, v_prev = greedy, v

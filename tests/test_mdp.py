@@ -13,6 +13,7 @@ from numpy.testing import assert_allclose
 from mdplab import (
     GammaRangeError,
     LearningRateSchedule,
+    Mdp,
     MissingEntryError,
     NonFiniteRewardError,
     Policy,
@@ -22,7 +23,10 @@ from mdplab import (
     SingularSystemError,
     UnknownActionError,
     UnknownStateError,
+    UtilityFilter,
     ValidationError,
+    ValueFunction,
+    bellman_backup,
     egoism_vs_humanity,
     evaluate,
     gradient_ascent,
@@ -30,6 +34,7 @@ from mdplab import (
     mdp_to_dict,
     policy_evaluate,
     policy_probs,
+    q_from_v,
     random_mdp,
     stay_go_mdp,
     step,
@@ -159,6 +164,52 @@ class TestValidateMdp:
             validate_mdp(doc)
 
 
+BAD_REWARD_TABLES = {
+    "string": [["0", 1.0], [0.0, 0.0]],
+    "bool": np.ones((2, 2), dtype=bool),
+    "ragged": [[0.0, 1.0], [0.0]],
+    "wrong-shape": np.zeros((2, 3)),
+    "nan": [[np.nan, 0.0], [0.0, 0.0]],
+    "inf": [[0.0, 0.0], [-np.inf, 0.0]],
+}
+
+
+class TestRewardTable:
+    def test_a_new_table_shares_the_transitions(self, stay_go):
+        mdp = with_rewards(stay_go, [[0, -3], [1, 2]])
+        assert mdp.transitions is stay_go.transitions
+        assert mdp.rewards.dtype == float and not mdp.rewards.flags.writeable
+        assert mdp.reward_bound == 3.0 == np.abs(mdp.rewards).max()
+        assert stay_go.reward_bound == 1.0
+
+    @pytest.mark.parametrize("table", BAD_REWARD_TABLES.values(), ids=BAD_REWARD_TABLES)
+    def test_every_path_to_a_table_follows_one_rule(self, stay_go, table):
+        grid = (stay_go.states, stay_go.actions, stay_go.gamma, stay_go.transitions)
+        with pytest.raises(ValidationError) as made:
+            make_mdp(*grid, table)
+        for build in (lambda: with_rewards(stay_go, table), lambda: Mdp(*grid, table)):
+            with pytest.raises(type(made.value), match=re.escape(str(made.value))):
+                build()
+
+    def test_the_bound_is_derived_not_passed(self, stay_go):
+        with pytest.raises(TypeError):
+            Mdp(stay_go.states, stay_go.actions, 0.5, stay_go.transitions, stay_go.rewards, 9.0)
+
+
+class TestLabeled:
+    def test_an_action_index_off_the_grid_is_rejected(self, stay_go):
+        with pytest.raises(ValidationError, match="out-of-range action"):
+            Policy.deterministic(np.array([0, 5])).as_dict(stay_go)
+
+    def test_a_short_policy_is_rejected(self, stay_go):
+        with pytest.raises(ValidationError, match="every state"):
+            Policy.deterministic(np.array([0])).as_dict(stay_go)
+
+    def test_a_short_value_array_is_rejected(self, stay_go):
+        with pytest.raises(ValidationError, match=re.escape("shape (1,) does not fit")):
+            ValueFunction([1.0]).as_dict(stay_go)
+
+
 class TestStep:
     def test_deterministic_transition_ignores_seed(self, stay_go):
         for seed in range(5):
@@ -242,12 +293,22 @@ class TestNumberRules:
         lambda: RewardLevel("x", [["a"]], 1.0),
         lambda: gradient_ascent(stay_go_mdp(), "ab", 0.1, 2),
         lambda: make_mdp(["s0"], ["a0"], 0.5, [[["1"]]], [[0.0]]),
+        lambda: bellman_backup(stay_go_mdp(), ["1", "2"]),
+        lambda: q_from_v(stay_go_mdp(), [None, 2.0]),
+        lambda: UtilityFilter(((0, 0), (1, 1))).apply("0.5"),
     ], ids=["harmonic-str", "harmonic-bool", "harmonic-none", "constant-str",
             "table-str", "table-none", "epsilon-str", "grid-bool", "step-size-str",
-            "table-not-a-sequence", "level-table-str", "theta0-str", "transitions-str"])
+            "table-not-a-sequence", "level-table-str", "theta0-str", "transitions-str",
+            "backup-v-str", "lookahead-v-none", "filter-input-str"])
     def test_library_numbers_follow_the_number_rule(self, call):
         with pytest.raises(ValidationError, match="must be a number"):
             call()
+
+    @pytest.mark.parametrize("v", [[1.0, 2.0, 3.0], [[1.0, 2.0]], 1.0])
+    def test_a_value_array_must_fit_the_states(self, stay_go, v):
+        for lookahead in (q_from_v, bellman_backup):
+            with pytest.raises(ValidationError, match=re.escape("v must have shape (2,)")):
+                lookahead(stay_go, v)
 
     @pytest.mark.parametrize("call", [
         lambda: gradient_ascent(stay_go_mdp(), np.zeros((2, 2)), 0.1, 2.7),

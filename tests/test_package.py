@@ -18,6 +18,11 @@ def test_no_private_cross_module_imports():
     assert offenders == []
 
 
+def _calls(node, name):
+    return [call for call in ast.walk(node) if isinstance(call, ast.Call)
+            and getattr(call.func, "id", getattr(call.func, "attr", None)) == name]
+
+
 def _is_linalg_solve(node):
     return (isinstance(node, ast.Attribute) and node.attr == "solve"
             and isinstance(node.value, ast.Attribute) and node.value.attr == "linalg")
@@ -39,9 +44,20 @@ def test_one_linear_solve_in_mdp_solve_system():
                if isinstance(node, ast.FunctionDef) and node.name == "solve_system"]
     assert any(map(_is_linalg_solve, ast.walk(func)))
     tree = ast.parse((PACKAGE / "gradient.py").read_text(encoding="utf-8"))
-    builds = [node for node in ast.walk(tree) if isinstance(node, ast.Call)
-              and getattr(node.func, "id", getattr(node.func, "attr", None)) == "expectations"]
-    assert len(builds) <= 2
+    assert len(_calls(tree, "expectations")) <= 2
+
+
+def test_only_documents_and_worlds_check_transitions():
+    # make_mdp is the one check of an (S, A, S) transitions array; a solver
+    # or a reward path replaces the reward table through with_rewards and
+    # never checks the unchanged dynamics again
+    callers = set()
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.parse(path.read_text(encoding="utf-8")).body:
+            if _calls(node, "make_mdp"):
+                callers.add((path.name, getattr(node, "name", "<module>")))
+    assert {c for c in callers if c[0] != "worlds.py"} == {("mdp.py", "validate_mdp")}
+    assert ("worlds.py", "random_mdp") in callers
 
 
 def test_core_modules_import_only_from_mdp():
