@@ -108,6 +108,8 @@ def differential_q(mdp, policy, mu):
     """
     r_pi, p_pi = expectations(mdp, policy_probs(mdp, policy))
     mu = frozen_array(mu, "mu")
+    if mu.shape != (mdp.n_states,):
+        raise ValidationError(f"mu must have shape {(mdp.n_states,)}, got {mu.shape}")
     j = float(_gain(mu, r_pi))
     return QTable(_differential(mdp, r_pi, p_pi, mu, j)), j
 

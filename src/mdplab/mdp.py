@@ -62,16 +62,23 @@ class UnknownActionError(ValidationError):
     pass
 
 
-def frozen_array(value, where):
-    """A read-only float copy of an array of ints or floats: as in ``as_number``,
-    a bool, a string or any other entry, or a ragged row, raises ValidationError."""
+def frozen_array(value, where, dtype=float):
+    """A read-only ``dtype`` copy of an array of ints or floats: as in ``as_number``,
+    a bool, a string or any other entry, or a ragged row, raises ValidationError,
+    and with an integer ``dtype`` so does a float entry."""
     try:
         arr = np.asarray(value)
     except ValueError:  # ragged rows
         arr = None
-    if arr is None or arr.dtype.kind not in "iuf":
+    # numpy reads a bool beside numbers as a number; an ndarray has one dtype
+    if arr is None or arr.dtype.kind not in "iuf" or (
+        not isinstance(value, np.ndarray)
+        and any(isinstance(x, (bool, np.bool_)) for x in np.asarray(value, dtype=object).flat)
+    ):
         raise ValidationError(f"every entry of {where} must be a number")
-    arr = arr.astype(float)
+    if arr.dtype.kind == "f" and np.dtype(dtype).kind != "f":
+        raise ValidationError(f"every entry of {where} must be an integer")
+    arr = arr.astype(dtype)
     arr.setflags(write=False)
     return arr
 
@@ -136,13 +143,11 @@ class Policy:
 
     @classmethod
     def deterministic(cls, action_indices):
-        arr = np.asarray(action_indices)
-        if arr.ndim != 1 or not np.issubdtype(arr.dtype, np.integer):
+        arr = frozen_array(action_indices, "policy actions", np.int64)
+        if arr.ndim != 1:
             raise ValidationError("deterministic policy needs a 1-D integer array")
         if arr.size and arr.min() < 0:
             raise ValidationError("action indices must be nonnegative")
-        arr = arr.astype(np.int64)
-        arr.setflags(write=False)
         return cls("deterministic", actions=arr)
 
     @classmethod
@@ -416,6 +421,12 @@ def policy_probs(mdp, policy):
     if policy.probs.shape != (mdp.n_states, mdp.n_actions):
         raise ValidationError("policy does not match the (state, action) grid")
     return policy.probs
+
+
+def argmax_sets(q, tol):
+    """The optimal-action sets of an (S, A) action-value array, as an (S, A)
+    bool mask: the actions within ``tol`` of their state's best value."""
+    return q >= q.max(axis=1, keepdims=True) - tol
 
 
 def solve_system(system, rhs, what):

@@ -14,7 +14,7 @@ from itertools import islice, repeat
 
 import numpy as np
 
-from .mdp import QTable, ValidationError, as_integer, as_number, successor_cdf
+from .mdp import QTable, ValidationError, argmax_sets, as_integer, as_number, successor_cdf
 
 _CHUNK = 1 << 14
 # Longest per-run table of schedule.rate values (about 8 MB of floats); a
@@ -209,23 +209,14 @@ class ConvergenceTrace:
     max_abs_q: float
 
 
-def _checkpoint(step, q, q_star, star_sets):
-    """Sup-norm distance to the oracle and the per-state greedy match."""
-    err = 0.0
-    match = []
-    for qi, qs, stars in zip(q, q_star, star_sets):
-        top = max(qi)
-        hit = False
-        for j in range(len(qi)):
-            d = qi[j] - qs[j]
-            if d < 0.0:
-                d = -d
-            if d > err or d != d:  # a NaN difference sticks, it is never skipped
-                err = d
-            if qi[j] == top and j in stars:
-                hit = True
-        match.append(hit)
-    return Checkpoint(step, err, np.array(match))
+def _checkpoint(step, q, q_star, stars):
+    """Sup-norm distance to the oracle (NaN if any entry is NaN) and, per state,
+    whether an action equal to the row's ``max`` is in the optimal mask ``stars``."""
+    table = np.array(q)
+    with np.errstate(over="ignore", invalid="ignore"):  # +-1e308 entries differ by inf
+        err = np.abs(table - q_star).max()
+    greedy = table == [[max(row)] for row in q]  # as the step loop picks its maximum
+    return Checkpoint(step, float(err), (greedy & stars).any(axis=1))
 
 
 def q_learning_run(mdp, config, oracle):
@@ -243,10 +234,7 @@ def q_learning_run(mdp, config, oracle):
     q_star = oracle.q_star.values
     if q_star.shape != (n_s, n_a):
         raise ValidationError("oracle was not computed on this MDP")
-    star_sets = [
-        frozenset(np.nonzero(row >= row.max() - OPTIMAL_SET_TOL)[0].tolist()) for row in q_star
-    ]
-    q_star = q_star.tolist()
+    stars = argmax_sets(q_star, OPTIMAL_SET_TOL)
     cum = successor_cdf(mdp.transitions).tolist()
     rewards = mdp.rewards.tolist()
     gamma = mdp.gamma
@@ -310,7 +298,7 @@ def q_learning_run(mdp, config, oracle):
                     lo = value
                 s = nxt
             if t % every == 0:
-                checkpoints.append(_checkpoint(t, q, q_star, star_sets))
+                checkpoints.append(_checkpoint(t, q, q_star, stars))
 
     return ConvergenceTrace(
         checkpoints=tuple(checkpoints),

@@ -17,6 +17,7 @@ from .mdp import (
     NonFiniteRewardError,
     SchemaError,
     ValidationError,
+    argmax_sets,
     as_integer,
     as_number,
     check_object,
@@ -204,11 +205,6 @@ class DivergenceReport:
         }
 
 
-def _argmax_sets(q):
-    top = q.max(axis=1, keepdims=True)
-    return q >= top - ARGMAX_TOL
-
-
 def _unit_scale(v):
     span = v.max() - v.min()
     if span <= 0.0:
@@ -222,8 +218,8 @@ def _solve(dynamics, table):
 
 def _divergence(dynamics, sol_a, sol_b):
     """Argmax-set and unit-scaled value comparison of two solutions."""
-    sets_a = _argmax_sets(sol_a.q_star.values)
-    sets_b = _argmax_sets(sol_b.q_star.values)
+    sets_a = argmax_sets(sol_a.q_star.values, ARGMAX_TOL)
+    sets_b = argmax_sets(sol_b.q_star.values, ARGMAX_TOL)
     per_state = {}
     disjoint_count = 0
     for i, s in enumerate(dynamics.states):

@@ -1,5 +1,6 @@
 """Softmax policies, stationary distributions, gradients, and ascent."""
 
+import re
 import time
 
 import numpy as np
@@ -193,6 +194,13 @@ class TestDifferentialQ:
         assert_allclose(mu, [0.5, 0.5], atol=1e-12)
         assert j == pytest.approx(0.25, abs=1e-12)
         assert_allclose(q.values, [[-0.5, 0.0], [1.0, -0.5]], atol=1e-12)
+
+    @pytest.mark.parametrize("mu", [np.full(3, 1 / 3), 0.5, np.full((2, 2), 0.25)],
+                             ids=["three-states", "scalar", "matrix"])
+    def test_mu_must_fit_the_states(self, stay_go, mu):
+        pol = softmax_policy(np.zeros((2, 2)))
+        with pytest.raises(ValidationError, match=re.escape("mu must have shape (2,)")):
+            differential_q(stay_go, pol, mu)
 
     def test_singular_system_is_named(self, stay_go):
         # with mu = 0 the bordered system is I - P_go, whose rows sum to 0

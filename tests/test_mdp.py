@@ -44,7 +44,9 @@ from mdplab import (
     verify_deterministic_optimality,
     with_rewards,
 )
-from mdplab.mdp import as_integer, as_number, expectations, solve_system
+from mdplab.mdp import argmax_sets, as_integer, as_number, expectations, solve_system
+from mdplab.qlearn import OPTIMAL_SET_TOL
+from mdplab.rewards import ARGMAX_TOL
 
 
 def one_state_doc(gamma=0.9, reward=1.0, self_loop=1.0):
@@ -296,13 +298,24 @@ class TestNumberRules:
         lambda: bellman_backup(stay_go_mdp(), ["1", "2"]),
         lambda: q_from_v(stay_go_mdp(), [None, 2.0]),
         lambda: UtilityFilter(((0, 0), (1, 1))).apply("0.5"),
+        lambda: with_rewards(stay_go_mdp(), [[True, 0.0], [0.0, 0.0]]),
+        lambda: Policy.stochastic([[True, 0.0], [0.5, 0.5]]),
+        lambda: Policy.deterministic([True, 0]),
+        lambda: Policy.stochastic([np.array([True, False]), [0.5, 0.5]]),
     ], ids=["harmonic-str", "harmonic-bool", "harmonic-none", "constant-str",
             "table-str", "table-none", "epsilon-str", "grid-bool", "step-size-str",
             "table-not-a-sequence", "level-table-str", "theta0-str", "transitions-str",
-            "backup-v-str", "lookahead-v-none", "filter-input-str"])
+            "backup-v-str", "lookahead-v-none", "filter-input-str", "rewards-bool-beside-floats",
+            "stochastic-bool-beside-floats", "deterministic-bool-beside-int",
+            "bool-row-beside-floats"])
     def test_library_numbers_follow_the_number_rule(self, call):
         with pytest.raises(ValidationError, match="must be a number"):
             call()
+
+    @pytest.mark.parametrize("actions", [[0.0, 1.0], np.array([0.5, 1.0]), []])
+    def test_deterministic_actions_must_be_integers(self, actions):
+        with pytest.raises(ValidationError, match="policy actions must be an integer"):
+            Policy.deterministic(actions)
 
     @pytest.mark.parametrize("v", [[1.0, 2.0, 3.0], [[1.0, 2.0]], 1.0])
     def test_a_value_array_must_fit_the_states(self, stay_go, v):
@@ -326,6 +339,17 @@ class TestNumberRules:
         report = verify_deterministic_optimality(stay_go, np.int64(3), np.random.default_rng(0))
         assert report.trials == 3 and type(report.trials) is int
         assert LearningRateSchedule.harmonic(np.float32(0.5)).p == 0.5
+
+
+class TestArgmaxSets:
+    def test_zero_tolerance_keeps_exact_ties_only(self):
+        q = np.array([[1.0, 1.0, np.nextafter(1.0, 0.0)], [0.0, -1.0, 0.0]])
+        assert argmax_sets(q, 0.0).tolist() == [[True, True, False], [True, False, True]]
+
+    def test_the_two_fixed_tolerances_differ_on_a_near_tie(self):
+        q = np.array([[1.0, 1.0 - 1e-8], [2.0, 0.0]])
+        assert argmax_sets(q, OPTIMAL_SET_TOL).tolist() == [[True, False], [True, False]]
+        assert argmax_sets(q, ARGMAX_TOL).tolist() == [[True, True], [True, False]]
 
 
 class TestSolveSystem:

@@ -1,6 +1,7 @@
 """Package structure: no module imports another module's private names."""
 
 import ast
+import re
 from pathlib import Path
 
 import mdplab
@@ -58,6 +59,27 @@ def test_only_documents_and_worlds_check_transitions():
                 callers.add((path.name, getattr(node, "name", "<module>")))
     assert {c for c in callers if c[0] != "worlds.py"} == {("mdp.py", "validate_mdp")}
     assert ("worlds.py", "random_mdp") in callers
+
+
+def _is_tolerance_cut(node):
+    # "top - tol": a subtraction of a name like tol or ARGMAX_TOL
+    return (isinstance(node, ast.BinOp) and isinstance(node.op, ast.Sub)
+            and isinstance(node.right, ast.Name)
+            and re.search(r"(^|_)tol$", node.right.id, re.IGNORECASE) is not None)
+
+
+def test_one_optimal_action_set_rule_in_mdp_argmax_sets():
+    # reward divergence and Q-learning checkpoints take their optimal-action
+    # sets from mdp.argmax_sets, each with its own fixed tolerance
+    cuts = set()
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.parse(path.read_text(encoding="utf-8")).body:
+            if any(map(_is_tolerance_cut, ast.walk(node))):
+                cuts.add((path.name, getattr(node, "name", "<module>")))
+    assert cuts == {("mdp.py", "argmax_sets")}
+    tree = ast.parse((PACKAGE / "qlearn.py").read_text(encoding="utf-8"))
+    assert not [node for node in ast.walk(tree)
+                if isinstance(node, ast.Name) and node.id == "frozenset"]
 
 
 def test_core_modules_import_only_from_mdp():

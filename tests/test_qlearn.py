@@ -1,5 +1,6 @@
 """Learning-rate schedules, the condition classifier, and Q-learning runs."""
 
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -21,7 +22,7 @@ from mdplab import (
     random_mdp,
     with_rewards,
 )
-from mdplab.qlearn import _CHUNK, _RATE_TABLE_CAP, Checkpoint, ConvergenceTrace
+from mdplab.qlearn import _CHUNK, _RATE_TABLE_CAP, Checkpoint, ConvergenceTrace, _checkpoint
 from qlearn_reference import reference_q_learning_run, trace_bits
 
 
@@ -282,6 +283,27 @@ class TestQLearningRun:
                               steps=10, start="nowhere")
         with pytest.raises(ValidationError):
             q_learning_run(stay_go, config, stay_go_oracle)
+
+
+class TestCheckpoint:
+    def test_an_overflowing_difference_is_inf_without_a_warning(self):
+        stars = np.array([[True, False]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            cp = _checkpoint(7, [[1e308, 0.0]], np.array([[-1e308, 0.0]]), stars)
+        assert cp.step == 7 and cp.supnorm_error == np.inf
+        assert type(cp.supnorm_error) is float
+
+    def test_a_nan_entry_gives_a_nan_error(self):
+        stars = np.array([[True, False], [True, False]])
+        cp = _checkpoint(1, [[np.nan, 0.0], [5.0, 0.0]], np.zeros((2, 2)), stars)
+        assert np.isnan(cp.supnorm_error)
+
+    def test_a_nan_row_matches_as_the_step_loop_takes_its_max(self):
+        # max([1.0, nan]) is 1.0, and max([nan, 1.0]) is nan, which equals nothing
+        stars = np.array([[True, False], [False, True]])
+        cp = _checkpoint(1, [[1.0, np.nan], [np.nan, 1.0]], np.zeros((2, 2)), stars)
+        assert cp.greedy_match.tolist() == [True, False]
 
 
 def _trace_from_errors(errors):
