@@ -110,6 +110,8 @@ def differential_q(mdp, policy, mu):
     mu = frozen_array(mu, "mu")
     if mu.shape != (mdp.n_states,):
         raise ValidationError(f"mu must have shape {(mdp.n_states,)}, got {mu.shape}")
+    if not np.all(np.isfinite(mu)):
+        raise ValidationError("mu must be finite")
     j = float(_gain(mu, r_pi))
     return QTable(_differential(mdp, r_pi, p_pi, mu, j)), j
 

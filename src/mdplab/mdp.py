@@ -78,6 +78,9 @@ def frozen_array(value, where, dtype=float):
         raise ValidationError(f"every entry of {where} must be a number")
     if arr.dtype.kind == "f" and np.dtype(dtype).kind != "f":
         raise ValidationError(f"every entry of {where} must be an integer")
+    if np.dtype(dtype).kind == "i" and arr.size and arr.max() > np.iinfo(dtype).max:
+        raise ValidationError(f"every entry of {where} must be a number in the "
+                              f"{np.dtype(dtype)} range; {arr.max()} is out of range")
     arr = arr.astype(dtype)
     arr.setflags(write=False)
     return arr

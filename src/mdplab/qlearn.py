@@ -245,6 +245,10 @@ def q_learning_run(mdp, config, oracle):
     every = int(config.checkpoint_every)
 
     q = [[float(config.q_init)] * n_a for _ in range(n_s)]
+    # best[s] is the object max(q[s]) returns and top[s] its index, so a step
+    # re-scans a row only when its maximum goes down or a NaN comes in
+    best = [row[0] for row in q]
+    top = [0] * n_s
     visits = [[0] * n_a for _ in range(n_s)]
     uniform_mode = config.start == "uniform"
     s = 0 if uniform_mode else mdp.state_index(config.start)
@@ -282,7 +286,7 @@ def q_learning_run(mdp, config, oracle):
                     s = s0
                 row = q[s]
                 if a < 0:  # greedy: the first maximum, the lowest tied index
-                    a = row.index(max(row))
+                    a = top[s]
                 nxt = bisect_right(cum[s][a], u3)
                 counts = visits[s]
                 i = counts[a] + 1
@@ -290,8 +294,15 @@ def q_learning_run(mdp, config, oracle):
                 # below the cap the table covers every index this segment reaches
                 beta = rates[i] if i < cap else rate(i)
                 qa = row[a]
-                value = qa + beta * (rewards[s][a] + gamma * max(q[nxt]) - qa)
+                value = qa + beta * (rewards[s][a] + gamma * best[nxt] - qa)
                 row[a] = value
+                m = best[s]
+                g = top[s]
+                if value > m or (value == m and a <= g):
+                    best[s], top[s] = value, a
+                elif a == g or value != value:  # the old maximum went down, or a NaN came in
+                    m = max(row)
+                    best[s], top[s] = m, row.index(m)
                 if value > hi:
                     hi = value
                 elif value < lo:

@@ -202,6 +202,12 @@ class TestDifferentialQ:
         with pytest.raises(ValidationError, match=re.escape("mu must have shape (2,)")):
             differential_q(stay_go, pol, mu)
 
+    @pytest.mark.parametrize("mu", [[np.nan, 0.5], [np.inf, 0.0]], ids=["nan", "inf"])
+    def test_mu_must_be_finite(self, stay_go, mu):
+        pol = softmax_policy(np.zeros((2, 2)))
+        with pytest.raises(ValidationError, match="mu must be finite"):
+            differential_q(stay_go, pol, mu)
+
     def test_singular_system_is_named(self, stay_go):
         # with mu = 0 the bordered system is I - P_go, whose rows sum to 0
         go = Policy.deterministic(np.ones(2, dtype=np.int64))

@@ -302,12 +302,13 @@ class TestNumberRules:
         lambda: Policy.stochastic([[True, 0.0], [0.5, 0.5]]),
         lambda: Policy.deterministic([True, 0]),
         lambda: Policy.stochastic([np.array([True, False]), [0.5, 0.5]]),
+        lambda: Policy.deterministic(np.array([2**63], dtype=np.uint64)),
     ], ids=["harmonic-str", "harmonic-bool", "harmonic-none", "constant-str",
             "table-str", "table-none", "epsilon-str", "grid-bool", "step-size-str",
             "table-not-a-sequence", "level-table-str", "theta0-str", "transitions-str",
             "backup-v-str", "lookahead-v-none", "filter-input-str", "rewards-bool-beside-floats",
             "stochastic-bool-beside-floats", "deterministic-bool-beside-int",
-            "bool-row-beside-floats"])
+            "bool-row-beside-floats", "deterministic-uint64-above-int64"])
     def test_library_numbers_follow_the_number_rule(self, call):
         with pytest.raises(ValidationError, match="must be a number"):
             call()

@@ -1,7 +1,7 @@
 """The library Q-learning loop reproduces the scalar reference loop bit for bit."""
 
 import numpy as np
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from mdplab import (
@@ -65,6 +65,66 @@ def test_library_loop_matches_reference(run):
     expected = reference_q_learning_run(mdp, config, oracle)
     actual = q_learning_run(mdp, config, oracle)
     assert trace_bits(actual) == trace_bits(expected)
+
+
+@st.composite
+def tied_runs(draw, reward_sets, q_inits):
+    """Runs on small_mdps dynamics (A <= 4) whose rewards come from one of
+    ``reward_sets`` and q_init from ``q_inits``, so rows tie often and the row
+    maximum the step loop keeps meets ties, signed zeros and NaN."""
+    mdp = draw(small_mdps())
+    n_s, n_a = mdp.n_states, mdp.n_actions
+    values = draw(st.sampled_from(reward_sets))
+    table = draw(st.lists(st.sampled_from(values), min_size=n_s * n_a, max_size=n_s * n_a))
+    tied = make_mdp(mdp.states, mdp.actions, draw(st.sampled_from([0.0, 0.5, 0.9])),
+                    mdp.transitions, np.reshape(table, (n_s, n_a)))
+    steps = draw(st.integers(1, 400))
+    config = QLearnConfig(
+        # rate 1 makes every update its exact target, which ties often
+        schedule=draw(st.one_of(st.just(LearningRateSchedule.from_table([1.0])), schedules)),
+        steps=steps,
+        seed=draw(st.integers(0, 2**63 - 1)),
+        epsilon=draw(st.sampled_from([0.0, 0.3, 1.0])),
+        checkpoint_every=draw(st.integers(1, steps + 5)),
+        q_init=draw(st.sampled_from(q_inits)),
+        start=draw(st.one_of(st.just("uniform"), st.sampled_from(mdp.states))),
+    )
+    return mdp, tied, config
+
+
+def _all_ties_run():
+    """Every reward 1 and every rate 1 at gamma 0: each update writes 1.0, so
+    an explored action often ties the row maximum below the maximum's index."""
+    t = np.random.default_rng(0).dirichlet(np.ones(3), size=(3, 3))
+    mdp = make_mdp(("s0", "s1", "s2"), ("a0", "a1", "a2"), 0.0, t, np.ones((3, 3)))
+    config = QLearnConfig(schedule=LearningRateSchedule.from_table([1.0]), steps=300,
+                          epsilon=0.3, checkpoint_every=50)
+    return mdp, mdp, config
+
+
+@settings(max_examples=300, deadline=None)
+@given(tied_runs([(0.0, 1.0), (0.0, -0.0), (-0.0, -1.0, 1.0)], (0.0, -0.0, 1.0)))
+@example(_all_ties_run())
+def test_library_loop_matches_reference_on_ties_and_signed_zeros(run):
+    _, mdp, config = run
+    oracle = policy_iteration(mdp)
+    expected = reference_q_learning_run(mdp, config, oracle)
+    assert trace_bits(q_learning_run(mdp, config, oracle)) == trace_bits(expected)
+
+
+@settings(max_examples=300, deadline=None)
+@given(tied_runs([(1e308, -1e308, 0.0)], (0.0, 1e308, -1e308)))
+def test_library_loop_matches_reference_past_overflow(run):
+    # the updates overflow to +-inf and then to NaN; the oracle is any one of
+    # the same shape, and the checkpoint errors are left out because the
+    # library carries a NaN into them where the reference skips it
+    finite, mdp, config = run
+    oracle = policy_iteration(finite)
+    bits = [trace_bits(loop(mdp, config, oracle))
+            for loop in (q_learning_run, reference_q_learning_run)]
+    for b in bits:
+        b["checkpoints"] = [[step, greedy] for step, _, greedy in b["checkpoints"]]
+    assert bits[0] == bits[1]
 
 
 class _TopDraws:
