@@ -17,6 +17,7 @@ from .mdp import (Policy, QTable, SingularSystemError, ValidationError, ValueOve
 
 FD_STEP = 1e-5
 REL_FLOOR = 1e-8
+_STACK_BYTES = 1 << 19  # P_pi bytes per stack of gradient_check's chains, sized for L2
 
 
 class NonFiniteThetaError(ValidationError):
@@ -52,13 +53,12 @@ def _strongly_connected(adj):
         seen = np.zeros(len(graph), dtype=bool)
         seen[0] = True
         frontier = seen
-        # each pass adds at least one node, so it stops within len(graph) passes
-        while frontier.any():
-            reach = graph[frontier].any(axis=0)
-            frontier = reach & ~seen
-            seen = seen | reach
-        if not seen.all():
-            return False
+        # each pass adds a node or returns, so it ends within len(graph) passes
+        while not seen.all():
+            frontier = graph[frontier].any(axis=0) & ~seen
+            if not frontier.any():
+                return False
+            seen = seen | frontier
     return True
 
 
@@ -163,20 +163,22 @@ def gradient_check(mdp, theta):
 
     numeric[s, a] = (J(theta + h e) - J(theta - h e)) / 2h per coordinate,
     with h = FD_STEP; the relative difference uses max(1e-8, |numeric|) as
-    denominator.  A bump in row s changes only that row of the policy, so the
-    2A perturbed chains of one state are built and solved as one stack.
+    denominator.  A bump in row s changes only that row of the policy; all S 2A
+    perturbed chains are solved as separate systems, in stacks of whole states.
     """
     theta = frozen_array(theta, "theta")
     analytic = policy_gradient_analytic(mdp, theta)
     n_s, n_a = theta.shape
     base = softmax_policy(theta).probs
     bumps = np.concatenate([np.eye(n_a), -np.eye(n_a)]) * FD_STEP
-    numeric = np.empty_like(analytic)
-    for s in range(n_s):
-        probs = np.repeat(base[None], 2 * n_a, axis=0)
-        probs[:, s] = softmax_policy(theta[s] + bumps).probs
-        j = _chain(mdp, probs)[3]
-        numeric[s] = (j[:n_a] - j[n_a:]) / (2.0 * FD_STEP)
+    bumped = softmax_policy((theta[:, None] + bumps).reshape(-1, n_a)).probs.reshape(n_s, -1, n_a)
+    j = np.empty((n_s, 2 * n_a))
+    per_stack = max(1, _STACK_BYTES // (2 * n_a * n_s * n_s * 8))
+    for rows in np.split(np.arange(n_s), range(per_stack, n_s, per_stack)):
+        probs = np.tile(base, (len(rows), 2 * n_a, 1, 1))
+        probs[rows - rows[0], :, rows] = bumped[rows]
+        j[rows] = _chain(mdp, probs.reshape(-1, n_s, n_a))[3].reshape(len(rows), -1)
+    numeric = (j[:, :n_a] - j[:, n_a:]) / (2.0 * FD_STEP)
     diff = np.abs(analytic - numeric)
     rel = diff / np.maximum(REL_FLOOR, np.abs(numeric))
     return GradientReport(

@@ -65,22 +65,26 @@ class UnknownActionError(ValidationError):
 def frozen_array(value, where, dtype=float):
     """A read-only ``dtype`` copy of an array of ints or floats: as in ``as_number``,
     a bool, a string or any other entry, or a ragged row, raises ValidationError,
-    and with an integer ``dtype`` so does a float entry."""
+    and with an integer ``dtype`` so does a float entry or one out of its range."""
     try:
         arr = np.asarray(value)
     except ValueError:  # ragged rows
         arr = None
-    # numpy reads a bool beside numbers as a number; an ndarray has one dtype
-    if arr is None or arr.dtype.kind not in "iuf" or (
-        not isinstance(value, np.ndarray)
-        and any(isinstance(x, (bool, np.bool_)) for x in np.asarray(value, dtype=object).flat)
-    ):
+    # numpy reads a bool beside numbers as a number and ints past int64 as floats or
+    # objects, so the entries of anything but an ndarray (it has one dtype) are scanned
+    scan = [] if arr is None or isinstance(value, np.ndarray) else (
+        np.asarray(value, dtype=object).ravel().tolist())
+    if arr is not None and np.dtype(dtype).kind == "i" and arr.size and (
+            arr.dtype.kind in "iu" or scan and all(isinstance(x, (int, np.integer)) for x in scan)):
+        info = np.iinfo(dtype)
+        if wide := [x for x in scan or (arr.min(), arr.max()) if not info.min <= x <= info.max]:
+            raise ValidationError(f"every entry of {where} must be a number in the "
+                                  f"{np.dtype(dtype)} range; {wide[0]} is out of range")
+    if arr is None or arr.dtype.kind not in "iuf" or any(
+            isinstance(x, (bool, np.bool_)) for x in scan):
         raise ValidationError(f"every entry of {where} must be a number")
     if arr.dtype.kind == "f" and np.dtype(dtype).kind != "f":
         raise ValidationError(f"every entry of {where} must be an integer")
-    if np.dtype(dtype).kind == "i" and arr.size and arr.max() > np.iinfo(dtype).max:
-        raise ValidationError(f"every entry of {where} must be a number in the "
-                              f"{np.dtype(dtype)} range; {arr.max()} is out of range")
     arr = arr.astype(dtype)
     arr.setflags(write=False)
     return arr

@@ -216,22 +216,25 @@ def _solve(dynamics, table):
     return policy_iteration(with_rewards(dynamics, table))
 
 
+def _disjoint(sets_a, sets_b):
+    """Mask of the states whose two argmax sets share no action."""
+    return ~(sets_a & sets_b).any(axis=1)
+
+
 def _divergence(dynamics, sol_a, sol_b):
     """Argmax-set and unit-scaled value comparison of two solutions."""
     sets_a = argmax_sets(sol_a.q_star.values, ARGMAX_TOL)
     sets_b = argmax_sets(sol_b.q_star.values, ARGMAX_TOL)
+    disjoint = _disjoint(sets_a, sets_b)
     per_state = {}
-    disjoint_count = 0
-    for i, s in enumerate(dynamics.states):
-        names_a = tuple(a for a, top in zip(dynamics.actions, sets_a[i]) if top)
-        names_b = tuple(a for a, top in zip(dynamics.actions, sets_b[i]) if top)
-        disjoint = not (set(names_a) & set(names_b))
-        disjoint_count += disjoint
-        per_state[s] = {"argmax_a": names_a, "argmax_b": names_b, "disjoint": disjoint}
+    for s, tops_a, tops_b, d in zip(dynamics.states, sets_a, sets_b, disjoint.tolist()):
+        names_a = tuple(a for a, top in zip(dynamics.actions, tops_a) if top)
+        names_b = tuple(a for a, top in zip(dynamics.actions, tops_b) if top)
+        per_state[s] = {"argmax_a": names_a, "argmax_b": names_b, "disjoint": d}
     gap = np.abs(_unit_scale(sol_a.v_star.values) - _unit_scale(sol_b.v_star.values)).max()
     return DivergenceReport(
         per_state=per_state,
-        divergence=disjoint_count / dynamics.n_states,
+        divergence=float(disjoint.mean()),
         value_gap=float(gap),
     )
 
@@ -261,20 +264,21 @@ def sweep_weights(dynamics, hierarchy, level_index, grid):
 
     For each weight in the grid the hierarchy is recomposed with that weight
     on the chosen level and compared (argmax divergence) against the baseline
-    composition where the same level has weight zero; the baseline is solved
-    once.  Returns a list of (weight, divergence) pairs.
+    composition where the same level has weight zero; each distinct composed
+    table is solved once.  Returns a list of (weight, divergence) pairs.
     """
     grid = [as_number(w, "a grid weight", ValidationError) for w in grid]
     if not grid:
         raise ValidationError("weight grid must be nonempty")
     if any(not np.isfinite(w) or w < 0.0 for w in grid):
         raise ValidationError("weights must be finite and >= 0")
-    sol_base = _solve(dynamics, _composed(_reweighted(hierarchy, level_index, 0.0)))
-    out = []
-    for w in grid:
+    solved, tops = {}, []  # argmax sets by composed-table bytes, and per weight
+    for w in [0.0, *grid]:
         table = _composed(_reweighted(hierarchy, level_index, w))
-        out.append((w, _divergence(dynamics, sol_base, _solve(dynamics, table)).divergence))
-    return out
+        if (key := table.tobytes()) not in solved:
+            solved[key] = argmax_sets(_solve(dynamics, table).q_star.values, ARGMAX_TOL)
+        tops.append(solved[key])
+    return [(w, float(_disjoint(tops[0], t).mean())) for w, t in zip(grid, tops[1:])]
 
 
 def level_with_weight(hierarchy, level_index, weight):

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 from numpy.testing import assert_allclose
 from scipy import linalg
 from scipy.sparse.csgraph import connected_components
@@ -29,6 +30,8 @@ from mdplab import (
     stay_go_mdp,
     with_rewards,
 )
+from gradient_reference import reference_gradient_check
+from mdplab import gradient
 from mdplab.gradient import FD_STEP, _strongly_connected
 
 
@@ -294,6 +297,67 @@ class TestGradientCheck:
                     ) / (2.0 * FD_STEP)
             report = gradient_check(mdp, theta)
             assert np.abs(report.numeric - loop).max() < 1e-9
+
+
+def report_bits(report):
+    return (report.analytic.tobytes(), report.numeric.tobytes(),
+            report.max_abs_diff.hex(), report.max_rel_diff.hex())
+
+
+def outcome(check, mdp, theta):
+    """The report's bits, or the type and message of a chain error."""
+    try:
+        return report_bits(check(mdp, theta))
+    except (ReducibleChainError, SingularSystemError) as exc:
+        return type(exc), str(exc)
+
+
+@st.composite
+def gradient_cases(draw):
+    """An MDP with dense or one-or-two-successor dynamics, and logits up to
+    +-700, so that softmax rows saturate to exact zeros and ones."""
+    n_s, n_a = draw(st.integers(1, 20)), draw(st.integers(1, 5))
+    gen = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    mdp = random_mdp(n_s, n_a, 0.9, gen)
+    if draw(st.booleans()):
+        t = np.zeros((n_s, n_a, n_s))
+        for s in range(n_s):
+            for a in range(n_a):
+                succ = gen.choice(n_s, size=draw(st.integers(1, min(2, n_s))), replace=False)
+                t[s, a, succ] = gen.dirichlet(np.ones(len(succ)))
+        mdp = make_mdp(mdp.states, mdp.actions, 0.9, t, mdp.rewards)
+    theta = draw(hnp.arrays(np.float64, (n_s, n_a), elements=st.one_of(
+        st.floats(-700.0, 700.0), st.sampled_from([-700.0, 0.0, 700.0]))))
+    return mdp, theta
+
+
+@settings(max_examples=150, deadline=None)
+@given(gradient_cases())
+def test_stacked_check_matches_the_per_state_reference_bit_for_bit(case):
+    mdp, theta = case
+    assert outcome(gradient_check, mdp, theta) == outcome(reference_gradient_check, mdp, theta)
+
+
+@pytest.mark.parametrize("states_per_stack", [1, 2, 3])
+def test_stacks_split_across_the_byte_budget(monkeypatch, states_per_stack):
+    # 7 states, 3 actions: a state's 6 chains hold 6 * 7 * 7 * 8 bytes of P_pi,
+    # and a budget just under n + 1 states' worth gives stacks of n states
+    gen = np.random.default_rng(5)
+    mdp = random_mdp(7, 3, 0.9, gen)
+    theta = gen.normal(0.0, 2.0, size=(7, 3))
+    monkeypatch.setattr(gradient, "_STACK_BYTES", (states_per_stack + 1) * 6 * 7 * 7 * 8 - 1)
+    stacks = []
+    chain = gradient._chain
+
+    def counted_chain(mdp, probs):
+        if probs.ndim == 3:  # the analytic gradient's own chain is (S, A)
+            stacks.append(len(probs))
+        return chain(mdp, probs)
+
+    monkeypatch.setattr(gradient, "_chain", counted_chain)
+    assert outcome(gradient_check, mdp, theta) == outcome(reference_gradient_check, mdp, theta)
+    whole, rest = divmod(7, states_per_stack)
+    assert stacks == [6 * states_per_stack] * whole + [6 * rest] * (rest > 0)
 
 
 class TestRewardTransformations:

@@ -313,6 +313,17 @@ class TestNumberRules:
         with pytest.raises(ValidationError, match="must be a number"):
             call()
 
+    @pytest.mark.parametrize("actions, wide", [
+        ([-1, 2**63], 2**63),  # numpy reads this list as float64
+        ([2**64], 2**64),  # and this one as objects
+        ([0, -2**63 - 1], -2**63 - 1),
+        ([2**63], 2**63),  # uint64
+    ])
+    def test_integers_past_int64_name_the_range(self, actions, wide):
+        with pytest.raises(ValidationError, match=re.escape(
+                f"policy actions must be a number in the int64 range; {wide} is out of range")):
+            Policy.deterministic(actions)
+
     @pytest.mark.parametrize("actions", [[0.0, 1.0], np.array([0.5, 1.0]), []])
     def test_deterministic_actions_must_be_integers(self, actions):
         with pytest.raises(ValidationError, match="policy actions must be an integer"):

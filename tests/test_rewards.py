@@ -26,6 +26,7 @@ from mdplab import (
     sweep_weights,
     table_from_dict,
 )
+from mdplab import rewards
 
 
 class TestUtilityFilter:
@@ -296,6 +297,39 @@ class TestSweepWeights:
             for w in grid
         ]
         assert sweep_weights(dyn, hier, 1, grid) == expected
+
+    def test_repeated_and_signed_zero_weights_equal_per_point_comparisons(self):
+        gen = np.random.default_rng(22)
+        dyn = random_mdp(10, 3, 0.9, gen)
+        hier = RewardHierarchy(tuple(
+            RewardLevel(name, gen.normal(0.0, 1.0, size=(10, 3)), weight)
+            for name, weight in (("a", 1.0), ("b", 0.5))
+        ))
+        grid = [10.0, -0.0, 100.0, 10.0, 0.0, 3.0, 100.0, -0.0]
+        baseline = compose_reward(level_with_weight(hier, 1, 0.0))
+        expected = [
+            (w, compare_policies(dyn, baseline,
+                                 compose_reward(level_with_weight(hier, 1, w))).divergence)
+            for w in grid
+        ]
+        rows = sweep_weights(dyn, hier, 1, grid)
+        assert rows == expected
+        assert [str(w) for w, _ in rows] == [str(w) for w in grid]
+        assert all(type(d) is float for _, d in rows)
+
+    def test_each_distinct_table_is_solved_once(self, monkeypatch):
+        dyn, hier = egoism_vs_humanity()
+        grid = [1.0, 0.0, 1.0, -0.0, 3.0, 3.0, 1.0]
+        distinct = {compose_reward(level_with_weight(hier, 1, w)).tobytes() for w in [0.0, *grid]}
+        solved = []
+        solve = rewards._solve
+        monkeypatch.setattr(rewards, "_solve",
+                            lambda dynamics, table: solved.append(table.tobytes())
+                            or solve(dynamics, table))
+        rows = sweep_weights(dyn, hier, 1, grid)
+        assert sorted(solved) == sorted(distinct) and len(solved) == 3
+        assert rows == [(1.0, 0.0), (0.0, 0.0), (1.0, 0.0), (-0.0, 0.0), (3.0, 1.0),
+                        (3.0, 1.0), (1.0, 0.0)]
 
     def test_hierarchy_grid_must_match_the_dynamics(self):
         dyn, _ = egoism_vs_humanity()
