@@ -41,14 +41,20 @@ def softmax_policy(theta):
         raise ValidationError("theta must be an (S, A) array")
     if not np.all(np.isfinite(theta)):
         raise NonFiniteThetaError("theta must be finite")
-    z = theta - theta.max(axis=1, keepdims=True)
-    e = np.exp(z)
-    return Policy.stochastic(e / e.sum(axis=1, keepdims=True))
+    return Policy.stochastic(_softmax(theta))
+
+
+def _softmax(theta):
+    # the math of softmax_policy alone, for (K, A) logits the package built itself
+    e = np.exp(theta - theta.max(axis=1, keepdims=True))
+    return e / e.sum(axis=1, keepdims=True)
 
 
 def _strongly_connected(adj):
     """True when every node of the boolean graph adj reaches node 0 and is
     reached from it, which makes the graph strongly connected."""
+    if adj[0].all() and adj[:, 0].all():  # each node is one step from 0 and to 0
+        return True
     for graph in (adj, adj.T):
         seen = np.zeros(len(graph), dtype=bool)
         seen[0] = True
@@ -124,13 +130,13 @@ def _differential(mdp, r_pi, p_pi, mu, j):
     return mdp.rewards - j + mdp.transitions @ v
 
 
-def _gradient(mdp, theta):
-    """Exact gradient of J at theta, and J, from one chain build."""
-    policy = softmax_policy(theta)
-    r_pi, p_pi, mu, j = _chain(mdp, policy_probs(mdp, policy))
+def _gradient(mdp, probs):
+    """Exact gradient of J at the (S, A) softmax probabilities, and J, from
+    one chain build."""
+    r_pi, p_pi, mu, j = _chain(mdp, probs)
     q = _differential(mdp, r_pi, p_pi, mu, j)
-    v = (policy.probs * q).sum(axis=1)
-    return mu[:, None] * policy.probs * (q - v[:, None]), j
+    v = (probs * q).sum(axis=1)
+    return mu[:, None] * probs * (q - v[:, None]), j
 
 
 def average_reward(mdp, theta):
@@ -145,7 +151,7 @@ def policy_gradient_analytic(mdp, theta):
     Q; this is the closed form of the score-function expectation
     E[grad log pi * Q] taken under mu and pi, no sampling involved.
     """
-    return _gradient(mdp, theta)[0]
+    return _gradient(mdp, policy_probs(mdp, softmax_policy(theta)))[0]
 
 
 @dataclass(frozen=True, eq=False)
@@ -167,11 +173,11 @@ def gradient_check(mdp, theta):
     perturbed chains are solved as separate systems, in stacks of whole states.
     """
     theta = frozen_array(theta, "theta")
-    analytic = policy_gradient_analytic(mdp, theta)
+    base = policy_probs(mdp, softmax_policy(theta))
+    analytic = _gradient(mdp, base)[0]
     n_s, n_a = theta.shape
-    base = softmax_policy(theta).probs
     bumps = np.concatenate([np.eye(n_a), -np.eye(n_a)]) * FD_STEP
-    bumped = softmax_policy((theta[:, None] + bumps).reshape(-1, n_a)).probs.reshape(n_s, -1, n_a)
+    bumped = _softmax((theta[:, None] + bumps).reshape(-1, n_a)).reshape(n_s, -1, n_a)
     j = np.empty((n_s, 2 * n_a))
     per_stack = max(1, _STACK_BYTES // (2 * n_a * n_s * n_s * 8))
     for rows in np.split(np.arange(n_s), range(per_stack, n_s, per_stack)):
@@ -208,11 +214,12 @@ def ascent_trace(mdp, theta0, step_size, iters):
     if iters < 1:
         raise ValidationError("iters must be >= 1")
     theta = frozen_array(theta0, "theta0")
+    probs = policy_probs(mdp, softmax_policy(theta))  # each step keeps theta finite and (S, A)
     js = []
     grad_norms = []
     try:
         for k in range(iters):
-            grad, j = _gradient(mdp, theta)
+            grad, j = _gradient(mdp, probs)
             # An overflow is reported by the finiteness check below, not as a warning.
             with np.errstate(over="ignore"):
                 norm = float(np.sqrt((grad * grad).sum()))
@@ -230,7 +237,8 @@ def ascent_trace(mdp, theta0, step_size, iters):
                 raise ValueOverflowError(
                     f"theta overflows at iteration {k}; step_size {step_size} is too large"
                 )
-        js.append(average_reward(mdp, theta))
+            probs = _softmax(theta)
+        js.append(float(_chain(mdp, probs)[3]))
     except ReducibleChainError as exc:
         exc.j_trace = np.array(js)
         exc.theta = theta

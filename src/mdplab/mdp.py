@@ -74,7 +74,8 @@ def frozen_array(value, where, dtype=float):
     # objects, so the entries of anything but an ndarray (it has one dtype) are scanned
     scan = [] if arr is None or isinstance(value, np.ndarray) else (
         np.asarray(value, dtype=object).ravel().tolist())
-    if arr is not None and np.dtype(dtype).kind == "i" and arr.size and (
+    # numpy holds an array of the target dtype only when every entry is in range
+    if arr is not None and np.dtype(dtype).kind == "i" and arr.dtype != dtype and arr.size and (
             arr.dtype.kind in "iu" or scan and all(isinstance(x, (int, np.integer)) for x in scan)):
         info = np.iinfo(dtype)
         if wide := [x for x in scan or (arr.min(), arr.max()) if not info.min <= x <= info.max]:

@@ -134,13 +134,13 @@ class RewardHierarchy:
         object.__setattr__(self, "levels", levels)
 
 
-def _composed(levels):
+def _composed(levels, weights):
     total = np.zeros(levels[0].table.shape)
     # An overflow is reported by naming its level, not as a warning.
     with np.errstate(over="ignore", invalid="ignore"):
-        for level in levels:
+        for level, weight in zip(levels, weights):
             filtered = level.filter.apply(level.table) if level.filter else level.table
-            weighted = level.weight * filtered
+            weighted = weight * filtered
             if not np.isfinite(weighted).all():
                 stage = "weighted" if np.isfinite(filtered).all() else "filtered"
                 raise NonFiniteRewardError(
@@ -154,7 +154,7 @@ def _composed(levels):
 
 def compose_reward(hierarchy):
     """Weighted sum of the filtered level tables: R = sum_l w_l f_l(T_l)."""
-    return _composed(hierarchy.levels)
+    return _composed(hierarchy.levels, [level.weight for level in hierarchy.levels])
 
 
 def hierarchy_from_dict(doc, states, actions):
@@ -249,14 +249,11 @@ def compare_policies(dynamics, reward_a, reward_b):
     return _divergence(dynamics, _solve(dynamics, reward_a), _solve(dynamics, reward_b))
 
 
-def _reweighted(hierarchy, level_index, weight):
-    """The hierarchy's levels with one level's weight replaced."""
+def _level_index(hierarchy, level_index):
     level_index = as_integer(level_index, "level index")
     if not 0 <= level_index < len(hierarchy.levels):
         raise ValidationError(f"no level at index {level_index}")
-    levels = list(hierarchy.levels)
-    levels[level_index] = replace(levels[level_index], weight=weight)
-    return tuple(levels)
+    return level_index
 
 
 def sweep_weights(dynamics, hierarchy, level_index, grid):
@@ -272,9 +269,12 @@ def sweep_weights(dynamics, hierarchy, level_index, grid):
         raise ValidationError("weight grid must be nonempty")
     if any(not np.isfinite(w) or w < 0.0 for w in grid):
         raise ValidationError("weights must be finite and >= 0")
+    level_index = _level_index(hierarchy, level_index)
+    weights = [level.weight for level in hierarchy.levels]
     solved, tops = {}, []  # argmax sets by composed-table bytes, and per weight
     for w in [0.0, *grid]:
-        table = _composed(_reweighted(hierarchy, level_index, w))
+        weights[level_index] = w  # checked above, so no RewardLevel re-checks its table
+        table = _composed(hierarchy.levels, weights)
         if (key := table.tobytes()) not in solved:
             solved[key] = argmax_sets(_solve(dynamics, table).q_star.values, ARGMAX_TOL)
         tops.append(solved[key])
@@ -283,4 +283,7 @@ def sweep_weights(dynamics, hierarchy, level_index, grid):
 
 def level_with_weight(hierarchy, level_index, weight):
     """Copy of the hierarchy with one level's weight replaced."""
-    return RewardHierarchy(_reweighted(hierarchy, level_index, weight))
+    level_index = _level_index(hierarchy, level_index)
+    levels = list(hierarchy.levels)
+    levels[level_index] = replace(levels[level_index], weight=weight)
+    return RewardHierarchy(tuple(levels))

@@ -114,18 +114,24 @@ def value_iteration(mdp, epsilon):
             f"value iteration may need {bound} sweeps, more than {MAX_SWEEPS}; "
             f"gamma {gamma} is too close to 1 for epsilon {epsilon}"
         )
-    v = np.zeros(mdp.n_states)
+    # each sweep is _lookahead's arithmetic, written into buffers allocated once
+    q = np.empty((mdp.n_states, mdp.n_actions))
+    v, nxt, diff = np.zeros(mdp.n_states), np.empty(mdp.n_states), np.empty(mdp.n_states)
     # An overflow is reported by the finiteness check below, not as a warning.
     with np.errstate(over="ignore", invalid="ignore"):
         for iterations in range(1, MAX_SWEEPS + 1):
-            nxt = _lookahead(mdp, v).max(axis=1)
-            change = np.abs(nxt - v).max()
+            np.matmul(mdp.transitions, v, out=q)
+            q *= gamma
+            np.add(mdp.rewards, q, out=q)
+            np.maximum.reduce(q, axis=1, out=nxt)
+            np.abs(np.subtract(nxt, v, out=diff), out=diff)
+            change = np.maximum.reduce(diff)
             if not change < np.inf:  # inf or NaN
                 raise ValueOverflowError(
                     f"value iteration overflowed after {iterations} sweeps "
                     f"(sweep change {change}); rewards are too large for gamma {gamma}"
                 )
-            v = nxt
+            v, nxt = nxt, v
             if change < threshold:
                 break
         else:
@@ -150,7 +156,7 @@ def policy_iteration(mdp):
     after MAX_POLICY_ITERATIONS.
     """
     shift = max(math.frexp(mdp.reward_bound)[1], 0)
-    scaled = with_rewards(mdp, np.ldexp(mdp.rewards, -shift))
+    scaled = with_rewards(mdp, np.ldexp(mdp.rewards, -shift)) if shift else mdp
     acts = np.zeros(mdp.n_states, dtype=np.int64)
     rounding = 8.0 * np.finfo(float).eps / (1.0 - mdp.gamma)
     v_prev, flat = None, 0

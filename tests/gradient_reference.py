@@ -1,16 +1,22 @@
-"""Test-only reference: the per-state finite-difference gradient check, kept verbatim.
+"""Test-only references: earlier forms of the gradient check and the ascent, kept verbatim.
 
-This is ``mdplab.gradient.gradient_check`` as it was before the S 2A perturbed
-chains were stacked across states: it builds and solves the 2A chains of one
-state at a time.  ``test_gradient.py`` asserts that the library check
-reproduces every output bit of it.  Do not optimise this copy.
+``reference_gradient_check`` is ``mdplab.gradient.gradient_check`` as it was
+before the S 2A perturbed chains were stacked across states: it builds and
+solves the 2A chains of one state at a time.  ``reference_ascent_trace`` is
+``mdplab.gradient.ascent_trace`` as it was before theta was checked once on
+entry: every step sends theta through ``softmax_policy``'s checks and the
+softmax rows through ``Policy.stochastic``'s.  ``test_gradient.py`` and
+``test_loop_equivalence.py`` assert that the library reproduces every output
+bit of them.  Do not optimise these copies.
 """
 
 import numpy as np
 
-from mdplab.gradient import (FD_STEP, REL_FLOOR, GradientReport, _chain,
+from mdplab.gradient import (FD_STEP, REL_FLOOR, GradientReport, ReducibleChainError,
+                             _chain, _differential, average_reward,
                              policy_gradient_analytic, softmax_policy)
-from mdplab.mdp import frozen_array
+from mdplab.mdp import (ValidationError, ValueOverflowError, as_integer, as_number,
+                        frozen_array, policy_probs)
 
 
 def reference_gradient_check(mdp, theta):
@@ -33,3 +39,49 @@ def reference_gradient_check(mdp, theta):
         max_abs_diff=float(diff.max()),
         max_rel_diff=float(rel.max()),
     )
+
+
+def _reference_gradient(mdp, theta):
+    policy = softmax_policy(theta)
+    r_pi, p_pi, mu, j = _chain(mdp, policy_probs(mdp, policy))
+    q = _differential(mdp, r_pi, p_pi, mu, j)
+    v = (policy.probs * q).sum(axis=1)
+    return mu[:, None] * policy.probs * (q - v[:, None]), j
+
+
+def reference_ascent_trace(mdp, theta0, step_size, iters):
+    step_size = as_number(step_size, "step_size", ValidationError)
+    if not (np.isfinite(step_size) and step_size > 0.0):
+        raise ValidationError(f"step_size must be finite and > 0, got {step_size}")
+    iters = as_integer(iters, "iters")
+    if iters < 1:
+        raise ValidationError("iters must be >= 1")
+    theta = frozen_array(theta0, "theta0")
+    js = []
+    grad_norms = []
+    try:
+        for k in range(iters):
+            grad, j = _reference_gradient(mdp, theta)
+            # An overflow is reported by the finiteness check below, not as a warning.
+            with np.errstate(over="ignore"):
+                norm = float(np.sqrt((grad * grad).sum()))
+            if not np.isfinite(norm):
+                raise ValueOverflowError(
+                    f"the gradient norm overflows at iteration {k}; "
+                    "rewards are too large for an ascent step"
+                )
+            js.append(j)
+            grad_norms.append(norm)
+            # An overflowing step is reported by the finiteness check below.
+            with np.errstate(over="ignore"):
+                theta = theta + step_size * grad
+            if not np.isfinite(theta).all():
+                raise ValueOverflowError(
+                    f"theta overflows at iteration {k}; step_size {step_size} is too large"
+                )
+        js.append(average_reward(mdp, theta))
+    except ReducibleChainError as exc:
+        exc.j_trace = np.array(js)
+        exc.theta = theta
+        raise
+    return theta, np.array(js), grad_norms

@@ -18,6 +18,7 @@ from mdplab import (
     ReducibleChainError,
     SingularSystemError,
     ValidationError,
+    ascent_trace,
     average_reward,
     differential_q,
     gradient_ascent,
@@ -155,8 +156,21 @@ def sparse_graphs(draw):
     return adj
 
 
+@st.composite
+def dense_graphs(draw):
+    n = draw(st.integers(1, 12))
+    adj = np.ones((n, n), dtype=bool)
+    # a complete graph less a few edges, so that graphs where node 0 has every
+    # edge in and out (the one-step answer) and graphs one edge short of it
+    # are both common, and some are not strongly connected at all
+    edges = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1))
+    for i, j in draw(st.lists(edges, max_size=2 * n)):
+        adj[i, j] = False
+    return adj
+
+
 @settings(max_examples=300, deadline=None)
-@given(sparse_graphs())
+@given(st.one_of(sparse_graphs(), dense_graphs()))
 def test_reachability_check_agrees_with_scipy_components(adj):
     n, _ = connected_components(adj.astype(float), directed=True, connection="strong")
     assert _strongly_connected(adj) == (n == 1)
@@ -419,6 +433,24 @@ class TestGradientAscent:
             gradient_ascent(reducible_mdp(), np.zeros((2, 1)), 0.1, 5)
         assert hasattr(excinfo.value, "j_trace")
         assert excinfo.value.theta.shape == (2, 1)
+
+    @pytest.mark.parametrize("entry, name", [
+        (lambda mdp, theta: gradient_ascent(mdp, theta, 0.1, 3), "theta0"),
+        (lambda mdp, theta: ascent_trace(mdp, theta, 0.1, 3), "theta0"),
+        (gradient_check, "theta"),
+    ], ids=["gradient_ascent", "ascent_trace", "gradient_check"])
+    @pytest.mark.parametrize("theta, error, message", [
+        (np.zeros((3, 2)), ValidationError, "policy does not match the (state, action) grid"),
+        (np.zeros((2, 3)), ValidationError, "policy does not match the (state, action) grid"),
+        (np.zeros(2), ValidationError, "theta must be an (S, A) array"),
+        ([[0.0, np.nan], [0.0, 0.0]], NonFiniteThetaError, "theta must be finite"),
+        ([[True, False], [False, True]], ValidationError, "every entry of {} must be a number"),
+    ], ids=["more-states", "more-actions", "1-d", "nan", "bool-list"])
+    def test_theta_is_checked_on_entry(self, stay_go, entry, name, theta, error, message):
+        with pytest.raises(ValidationError) as excinfo:
+            entry(stay_go, theta)
+        assert type(excinfo.value) is error
+        assert str(excinfo.value) == message.format(name)
 
     def test_parameter_validation(self, stay_go):
         for step_size in (0.0, np.inf, np.nan):
