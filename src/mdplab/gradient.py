@@ -46,7 +46,8 @@ def softmax_policy(theta):
 
 def _softmax(theta):
     # the math of softmax_policy alone, for (K, A) logits the package built itself
-    e = np.exp(theta - theta.max(axis=1, keepdims=True))
+    with np.errstate(over="ignore"):  # a spread past the float range: exp(-inf) is 0
+        e = np.exp(theta - theta.max(axis=1, keepdims=True))
     return e / e.sum(axis=1, keepdims=True)
 
 

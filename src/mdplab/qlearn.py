@@ -17,8 +17,8 @@ import numpy as np
 from .mdp import QTable, ValidationError, argmax_sets, as_integer, as_number, successor_cdf
 
 _CHUNK = 1 << 14
-# Longest per-run table of schedule.rate values (about 8 MB of floats); a
-# visit index past it calls schedule.rate directly.
+# Longest per-run table of schedule.rates (about 8 MB harmonic, 2 MB constant,
+# which repeats one float); a visit index past it calls schedule.rate directly.
 _RATE_TABLE_CAP = 1 << 18
 OPTIMAL_SET_TOL = 1e-9
 
@@ -91,6 +91,16 @@ class LearningRateSchedule:
         if self.family == "constant":
             return self.c
         return self.table[i - 1] if i <= len(self.table) else self.table[-1]
+
+    def rates(self, start, stop):
+        """The floats of ``[self.rate(i) for i in range(start, stop)]``, start >= 1."""
+        if self.family == "harmonic":
+            neg = -self.p  # rate's own expression, so the bits match
+            return [i ** neg for i in range(start, stop)]
+        if self.family == "constant":
+            return [self.c] * (stop - start)
+        table = self.table
+        return list(table[start - 1:stop - 1]) + [table[-1]] * (stop - max(start, len(table) + 1))
 
 
 @dataclass(frozen=True)
@@ -280,7 +290,7 @@ def q_learning_run(mdp, config, oracle):
             # cover every visit index this segment can reach, up to the cap
             need = min(max(map(max, visits)) + seg + 1, cap)
             if need > len(rates):
-                rates.extend(map(rate, range(len(rates), need)))
+                rates += config.schedule.rates(len(rates), need)
             for s0, a, u3 in islice(block, seg):
                 if uniform_mode:
                     s = s0

@@ -2,6 +2,7 @@
 
 import re
 import time
+import warnings
 
 import numpy as np
 import pytest
@@ -61,6 +62,18 @@ class TestSoftmaxPolicy:
         pol = softmax_policy(np.array([[1000.0, 0.0]]))
         assert np.all(np.isfinite(pol.probs))
         assert_allclose(pol.probs[0], [1.0, 0.0], atol=1e-300)
+
+    def test_a_spread_past_the_float_range_saturates_without_a_warning(self):
+        # theta - max overflows to -inf, which exp turns into an exact 0
+        theta = np.array([[-1e308, 1e308]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            probs = softmax_policy(theta).probs
+            final, js = gradient_ascent(one_state_bandit(0.0, 1.0), theta, 0.1, 3)
+        assert probs.tolist() == [[0.0, 1.0]]
+        # each step's policy is [[0, 1]]: J is a1's reward, and no gradient moves theta
+        assert js.tolist() == [1.0] * 4
+        assert np.array_equal(final, theta)
 
     def test_rows_sum_to_one(self, rng):
         pol = softmax_policy(rng.normal(0, 3, size=(10, 4)))

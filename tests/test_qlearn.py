@@ -5,6 +5,8 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from mdplab import (
     LearningRateSchedule,
@@ -64,6 +66,52 @@ class TestScheduleValidation:
     def test_empty_table(self):
         with pytest.raises(ValidationError):
             LearningRateSchedule.from_table([])
+
+
+def rates_match_rate(schedule, start, stop):
+    """``schedule.rates`` gives the bits of one ``rate`` call per index."""
+    built = schedule.rates(start, stop)
+    assert [x.hex() for x in built] == [schedule.rate(i).hex() for i in range(start, stop)]
+
+
+index_ranges = st.integers(1, _RATE_TABLE_CAP).flatmap(
+    lambda start: st.tuples(st.just(start), st.integers(start, start + 300)))
+# 100 underflows: rate(i) passes through the subnormals to 0.0 from i = 1723 on
+NAMED_POWERS = [1 / 3, 0.5, 0.51, 1.0, 2.0, 100.0]
+
+
+class TestBulkRates:
+    @pytest.mark.parametrize("p", NAMED_POWERS)
+    def test_harmonic_bits_over_the_whole_table(self, p):
+        rates_match_rate(LearningRateSchedule.harmonic(p), 1, _RATE_TABLE_CAP)
+
+    def test_a_large_power_underflows_to_zero(self):
+        built = LearningRateSchedule.harmonic(100.0).rates(1722, 1724)
+        assert 0.0 < built[0] < np.finfo(float).tiny and built[1] == 0.0
+
+    @settings(max_examples=200, deadline=None)
+    @given(p=st.one_of(st.sampled_from(NAMED_POWERS), st.floats(0.0, 8.0, exclude_min=True)),
+           bounds=index_ranges)
+    @example(p=1.0, bounds=(7, 7))
+    def test_harmonic(self, p, bounds):
+        rates_match_rate(LearningRateSchedule.harmonic(p), *bounds)
+
+    @settings(max_examples=100, deadline=None)
+    @given(c=st.floats(0.0, 1.0, exclude_max=True), bounds=index_ranges)
+    @example(c=0.0, bounds=(1, 50))
+    @example(c=0.3, bounds=(5, 5))
+    def test_constant(self, c, bounds):
+        rates_match_rate(LearningRateSchedule.constant(c), *bounds)
+
+    @settings(max_examples=200, deadline=None)
+    @given(values=st.lists(st.floats(0.0, 1.0), min_size=1, max_size=20),
+           start=st.integers(1, 40), length=st.integers(0, 40))
+    @example(values=[0.9, 0.5, 0.3], start=1, length=10)  # crosses the end
+    @example(values=[0.9, 0.5, 0.3], start=3, length=1)  # the last entry alone
+    @example(values=[0.9, 0.5, 0.3], start=4, length=0)  # empty, past the end
+    @example(values=[0.9, 0.5, 0.3], start=2, length=0)  # empty, inside the table
+    def test_table(self, values, start, length):
+        rates_match_rate(LearningRateSchedule.from_table(values), start, start + length)
 
 
 class TestClassifySchedule:
@@ -241,23 +289,34 @@ class TestQLearningRun:
 
     def test_rates_come_from_a_table(self, stay_go, stay_go_oracle, monkeypatch):
         # each visit index is rated once, when the table grows to cover it,
-        # not once per update of every pair that reaches it
-        calls = []
-        rate = LearningRateSchedule.rate
+        # not once per update of every pair that reaches it, and below the
+        # cap no index is rated by a rate call
+        ranges, rated = [], []
+        rates, rate = LearningRateSchedule.rates, LearningRateSchedule.rate
+
+        def recorded(schedule, start, stop):
+            ranges.append((start, stop))
+            return rates(schedule, start, stop)
 
         def counted(schedule, i):
-            calls.append(i)
+            rated.append(i)
             return rate(schedule, i)
 
+        monkeypatch.setattr(LearningRateSchedule, "rates", recorded)
         monkeypatch.setattr(LearningRateSchedule, "rate", counted)
         every = 1000
         config = QLearnConfig(schedule=LearningRateSchedule.harmonic(0.7),
                               steps=20_000, seed=3, checkpoint_every=every)
         trace = q_learning_run(stay_go, config, stay_go_oracle)
-        assert calls == list(range(1, len(calls) + 1))
-        assert trace.visits.max() <= len(calls) <= trace.visits.max() + every
+        assert rated == []
+        indices = [i for start, stop in ranges for i in range(start, stop)]
+        n = ranges[-1][1]
+        assert all(start < stop for start, stop in ranges)
+        assert indices == list(range(1, n))
+        assert trace.visits.max() < n <= trace.visits.max() + every + 1
 
     @pytest.mark.parametrize("schedule", [LearningRateSchedule.harmonic(0.7),
+                                          LearningRateSchedule.constant(0.3),
                                           LearningRateSchedule.from_table([0.9, 0.5, 0.3])])
     def test_bits_past_the_rate_table_cap(self, schedule):
         # one pair takes every visit, so the last three indices lie past the
