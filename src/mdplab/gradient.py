@@ -12,12 +12,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .mdp import (Policy, QTable, SingularSystemError, ValidationError, ValueOverflowError,
-                  as_integer, as_number, expectations, frozen_array, policy_probs, solve_system)
+from .mdp import (STACK_BYTES, Policy, QTable, SingularSystemError, ValidationError,
+                  ValueOverflowError, as_integer, as_number, expectations, frozen_array,
+                  policy_probs, solve_system)
 
 FD_STEP = 1e-5
 REL_FLOOR = 1e-8
-_STACK_BYTES = 1 << 19  # P_pi bytes per stack of gradient_check's chains, sized for L2
 
 
 class NonFiniteThetaError(ValidationError):
@@ -180,7 +180,7 @@ def gradient_check(mdp, theta):
     bumps = np.concatenate([np.eye(n_a), -np.eye(n_a)]) * FD_STEP
     bumped = _softmax((theta[:, None] + bumps).reshape(-1, n_a)).reshape(n_s, -1, n_a)
     j = np.empty((n_s, 2 * n_a))
-    per_stack = max(1, _STACK_BYTES // (2 * n_a * n_s * n_s * 8))
+    per_stack = max(1, STACK_BYTES // (2 * n_a * n_s * n_s * 8))
     for rows in np.split(np.arange(n_s), range(per_stack, n_s, per_stack)):
         probs = np.tile(base, (len(rows), 2 * n_a, 1, 1))
         probs[rows - rows[0], :, rows] = bumped[rows]

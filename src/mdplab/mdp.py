@@ -7,13 +7,19 @@ threads.  Random streams (``numpy.random.Generator``, PCG64) are single-owner:
 one stream per running experiment.
 """
 
+import ctypes
+import functools
 import json
+import threading
 from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 ROW_SUM_TOL = 1e-9
+STACK_BYTES = 1 << 19  # P_pi bytes per stacked solve, sized for L2
+ONE_THREAD_N = 100  # smaller solves gave the same bits on 1 and 2 OpenBLAS threads
 _NUMBER_TYPES = (int, float, np.integer, np.floating)  # built once; as_number runs per entry
+_BLAS_LOCK = threading.Lock()  # the thread count is process-wide: held from set to restore
 
 
 class ValidationError(ValueError):
@@ -115,6 +121,15 @@ class Mdp:
             raise NonFiniteRewardError("rewards must be finite")
         object.__setattr__(self, "rewards", r)
         object.__setattr__(self, "reward_bound", float(np.abs(r).max()))
+
+    def scaled(self, shift):
+        """Copy with every reward times 2^-shift, shift >= 0, not checked again:
+        a power-of-two scale down keeps a checked table finite on its grid."""
+        rewards = np.ldexp(self.rewards, -shift)
+        rewards.setflags(write=False)
+        scaled = object.__new__(type(self))
+        vars(scaled).update(vars(self), rewards=rewards, reward_bound=float(np.abs(rewards).max()))
+        return scaled
 
     @property
     def n_states(self):
@@ -437,19 +452,46 @@ def argmax_sets(q, tol):
     return q >= q.max(axis=1, keepdims=True) - tol
 
 
+@functools.cache
+def _blas_threads_setter():
+    """numpy's bundled OpenBLAS ``openblas_set_num_threads_local`` (it returns the
+    old count), or None under another BLAS; looked up at the first large solve."""
+    try:
+        setter = ctypes.CDLL(np.linalg._umath_linalg.__file__).openblas_set_num_threads_local
+    except (AttributeError, OSError):
+        return None
+    setter.argtypes, setter.restype = [ctypes.c_int], ctypes.c_int
+    return setter
+
+
 def solve_system(system, rhs, what):
     """x with system @ x = rhs, for one (n, n) system or a (..., n, n) stack;
-    a singular system raises SingularSystemError naming ``what``."""
+    a singular system raises SingularSystemError naming ``what``.  With n >=
+    ONE_THREAD_N the process runs one OpenBLAS thread during the solve, so
+    its bits do not depend on the caller's thread count."""
+    serial = system.shape[-1] >= ONE_THREAD_N and _blas_threads_setter()
+    if serial:
+        _BLAS_LOCK.acquire()
+        old = serial(1)
     try:
         return np.linalg.solve(system, rhs[..., None])[..., 0]
     except np.linalg.LinAlgError as exc:
         raise SingularSystemError(f"{what} system is singular: {exc}") from exc
+    finally:
+        if serial:
+            serial(old)
+            _BLAS_LOCK.release()
 
 
 def evaluate(mdp, probs):
     """Discounted values V (S,) of an (S, A) action-probability array, or
     (K, S) of each policy in a (K, S, A) stack: one direct solve of
-    (I - gamma P_pi) V = R_pi per policy, built in P_pi's own buffer."""
+    (I - gamma P_pi) V = R_pi per policy, built in P_pi's own buffer.  A
+    stack whose P_pi passes STACK_BYTES is solved in consecutive sub-stacks."""
+    per_stack = max(1, STACK_BYTES // (8 * mdp.n_states ** 2))
+    if probs.ndim == 3 and len(probs) > per_stack:
+        return np.concatenate([evaluate(mdp, probs[k:k + per_stack])
+                               for k in range(0, len(probs), per_stack)])
     r_pi, system = expectations(mdp, probs)
     system *= -mdp.gamma
     np.einsum("...ii->...i", system)[...] += 1.0  # 1 + (-gamma p) rounds as 1 - gamma p

@@ -10,7 +10,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .mdp import (Policy, QTable, ValidationError, ValueFunction, ValueOverflowError,
-                  as_integer, as_number, evaluate, frozen_array, with_rewards)
+                  as_integer, as_number, evaluate, frozen_array)
 
 DOMINANCE_SLACK = 1e-7
 MAX_SWEEPS = 1_000_000
@@ -156,7 +156,7 @@ def policy_iteration(mdp):
     after MAX_POLICY_ITERATIONS.
     """
     shift = max(math.frexp(mdp.reward_bound)[1], 0)
-    scaled = with_rewards(mdp, np.ldexp(mdp.rewards, -shift)) if shift else mdp
+    scaled = mdp.scaled(shift) if shift else mdp
     acts = np.zeros(mdp.n_states, dtype=np.int64)
     rounding = 8.0 * np.finfo(float).eps / (1.0 - mdp.gamma)
     v_prev, flat = None, 0

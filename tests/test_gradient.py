@@ -372,7 +372,7 @@ def test_stacks_split_across_the_byte_budget(monkeypatch, states_per_stack):
     gen = np.random.default_rng(5)
     mdp = random_mdp(7, 3, 0.9, gen)
     theta = gen.normal(0.0, 2.0, size=(7, 3))
-    monkeypatch.setattr(gradient, "_STACK_BYTES", (states_per_stack + 1) * 6 * 7 * 7 * 8 - 1)
+    monkeypatch.setattr(gradient, "STACK_BYTES", (states_per_stack + 1) * 6 * 7 * 7 * 8 - 1)
     stacks = []
     chain = gradient._chain
 

@@ -1,7 +1,13 @@
 """Validation, sampling, policy evaluation and the shared numeric rules of the core MDP module."""
 
+import ctypes
 import json
+import os
 import re
+import subprocess
+import sys
+import threading
+from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
@@ -33,6 +39,7 @@ from mdplab import (
     make_mdp,
     mdp_to_dict,
     policy_evaluate,
+    policy_iteration,
     policy_probs,
     q_from_v,
     random_mdp,
@@ -44,9 +51,26 @@ from mdplab import (
     verify_deterministic_optimality,
     with_rewards,
 )
-from mdplab.mdp import argmax_sets, as_integer, as_number, expectations, solve_system
+import mdplab.mdp
+from mdplab.mdp import (ONE_THREAD_N, STACK_BYTES, argmax_sets, as_integer, as_number,
+                        expectations, solve_system)
 from mdplab.qlearn import OPTIMAL_SET_TOL
 from mdplab.rewards import ARGMAX_TOL
+
+SRC = str(Path(mdplab.mdp.__file__).resolve().parents[1])
+# sha256 of the bits of V*, pi* and max_excess on MDPs at and just below ONE_THREAD_N states
+ORACLE_DIGEST = """
+import hashlib, numpy as np
+from mdplab import policy_iteration, random_mdp, verify_deterministic_optimality
+digest = hashlib.sha256()
+for n_s in (99, 100, 150):
+    solution = policy_iteration(random_mdp(n_s, 4, 0.95, np.random.default_rng(n_s)))
+    digest.update(solution.v_star.values.tobytes() + solution.pi_star.actions.tobytes())
+mdp = random_mdp(100, 4, 0.9, np.random.default_rng(1))
+report = verify_deterministic_optimality(mdp, 200, np.random.default_rng(2))
+digest.update(np.float64(report.max_excess).tobytes())
+print(digest.hexdigest())
+"""
 
 
 def one_state_doc(gamma=0.9, reward=1.0, self_loop=1.0):
@@ -377,6 +401,100 @@ class TestSolveSystem:
         with pytest.raises(SingularSystemError, match="test system is singular"):
             solve_system(np.ones((3, 2, 2)), np.ones((3, 2)), "test")
 
+    def test_oracle_bits_do_not_depend_on_the_openblas_thread_count(self):
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [SRC, os.environ.get("PYTHONPATH")])))
+        digests = {
+            threads: subprocess.run(
+                [sys.executable, "-c", ORACLE_DIGEST], env={**env, "OPENBLAS_NUM_THREADS": threads},
+                capture_output=True, text=True, check=True, timeout=120).stdout
+            for threads in ("1", "2")
+        }
+        assert len(digests["1"].strip()) == 64 and digests["1"] == digests["2"]
+
+
+@pytest.fixture
+def blas_threads(monkeypatch):
+    """The bundled OpenBLAS thread count, set to 2 for the test and restored
+    after it; each np.linalg.solve call records (n, thread count) in
+    ``blas_threads.seen``.  Skips under another BLAS."""
+    lib = ctypes.CDLL(np.linalg._umath_linalg.__file__)
+    get = getattr(lib, "scipy_openblas_get_num_threads64_", None) or getattr(
+        lib, "openblas_get_num_threads", None)
+    put = getattr(lib, "openblas_set_num_threads_local", None)
+    if get is None or put is None:
+        pytest.skip("numpy's BLAS is not the bundled OpenBLAS")
+    get.argtypes, get.restype = [], ctypes.c_int
+    put.argtypes, put.restype = [ctypes.c_int], ctypes.c_int
+    seen, solve = [], np.linalg.solve
+
+    def recording_solve(a, b):
+        seen.append((a.shape[-1], get()))
+        return solve(a, b)
+
+    monkeypatch.setattr(np.linalg, "solve", recording_solve)
+    caller = put(2)
+    try:
+        yield SimpleNamespace(get=get, seen=seen)
+    finally:
+        put(caller)
+
+
+class TestOneBlasThread:
+    # solve_system runs systems of ONE_THREAD_N or more unknowns on one OpenBLAS
+    # thread and gives the caller back its own thread count
+    def test_large_solves_run_on_one_thread_and_restore_the_count(self, blas_threads):
+        gen = np.random.default_rng(3)
+        for n_s in (ONE_THREAD_N - 1, ONE_THREAD_N, 150):
+            policy_iteration(random_mdp(n_s, 4, 0.9, gen))
+            assert blas_threads.get() == 2
+        assert {n for n, _ in blas_threads.seen} == {ONE_THREAD_N - 1, ONE_THREAD_N, 150}
+        assert all(threads == (1 if n >= ONE_THREAD_N else 2)
+                   for n, threads in blas_threads.seen)
+
+    def test_a_singular_system_restores_the_count(self, blas_threads):
+        with pytest.raises(SingularSystemError):
+            solve_system(np.ones((ONE_THREAD_N, ONE_THREAD_N)), np.ones(ONE_THREAD_N), "test")
+        assert blas_threads.seen == [(ONE_THREAD_N, 1)]
+        assert blas_threads.get() == 2
+
+    def test_concurrent_solves_restore_the_count(self, blas_threads):
+        # the thread count is process-wide: without a lock one thread's restore
+        # lands while another still solves, and the last restore can leave 1
+        gen = np.random.default_rng(4)
+        systems = gen.normal(size=(2, 120, 120)) + 120.0 * np.eye(120)
+        rhs = gen.normal(size=(2, 120))
+        expected = solve_system(systems, rhs, "test")
+        results = []
+
+        def solve_many():
+            results.extend(solve_system(systems, rhs, "test").tobytes() for _ in range(25))
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            workers = [threading.Thread(target=solve_many) for _ in range(4)]
+            for worker in workers:
+                worker.start()
+            for worker in workers:
+                worker.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(worker.is_alive() for worker in workers)
+        assert results == [expected.tobytes()] * 100
+        assert blas_threads.get() == 2
+        assert {threads for _, threads in blas_threads.seen} == {1}
+
+
+def test_scaled_copy_equals_a_checked_copy_of_the_scaled_table():
+    mdp = with_rewards(stay_go_mdp(0.9), [[3.0, -2.0 ** -1070], [0.0, -7.5]])
+    for shift in (0, 3, 60):
+        scaled, checked = mdp.scaled(shift), with_rewards(mdp, np.ldexp(mdp.rewards, -shift))
+        assert scaled.rewards.tobytes() == checked.rewards.tobytes()
+        assert scaled.reward_bound == checked.reward_bound
+        assert not scaled.rewards.flags.writeable
+        assert scaled.transitions is mdp.transitions and mdp.rewards[0, 0] == 3.0
+
 
 class TestPolicyEvaluate:
     def test_self_loop_geometric_series(self):
@@ -419,6 +537,25 @@ class TestPolicyEvaluate:
         assert stacked.shape == (4, 7)
         for k in range(4):
             assert_allclose(stacked[k], evaluate(mdp, probs[k]), rtol=0.0, atol=1e-12)
+
+    @pytest.mark.parametrize("n_s, n_a", [(20, 5), (100, 4), (257, 2)])
+    def test_sub_stacks_match_one_policy_at_a_time_bit_for_bit(self, monkeypatch, n_s, n_a):
+        # a stack's P_pi is built and solved at most STACK_BYTES at a time; at
+        # 257 states one system alone passes the budget
+        gen = np.random.default_rng(n_s)
+        mdp = random_mdp(n_s, n_a, 0.9, gen)
+        per_stack = max(1, STACK_BYTES // (8 * n_s * n_s))
+        built, build = [], mdplab.mdp.expectations
+        monkeypatch.setattr(mdplab.mdp, "expectations",
+                            lambda mdp, probs: built.append(probs.shape[:-2]) or build(mdp, probs))
+        for count in sorted({1, per_stack - 1, per_stack, per_stack + 1, 200} - {0}):
+            probs = gen.dirichlet(np.ones(n_a), size=(count, n_s))
+            built.clear()
+            stacked = evaluate(mdp, probs)
+            whole, rest = divmod(count, per_stack)
+            assert built == [(per_stack,)] * whole + [(rest,)] * (rest > 0)
+            one_at_a_time = np.stack([evaluate(mdp, p) for p in probs])
+            assert stacked.tobytes() == one_at_a_time.tobytes()
 
     def test_deterministic_policy_is_one_hot(self, rng):
         mdp = random_mdp(5, 3, 0.9, rng)

@@ -8,6 +8,7 @@ from numpy.testing import assert_allclose
 
 from mdplab import (
     GridMismatchError,
+    Mdp,
     NonFiniteRewardError,
     NonMonotoneFilterError,
     RewardHierarchy,
@@ -330,6 +331,22 @@ class TestSweepWeights:
         assert sorted(solved) == sorted(distinct) and len(solved) == 3
         assert rows == [(1.0, 0.0), (0.0, 0.0), (1.0, 0.0), (-0.0, 0.0), (3.0, 1.0),
                         (3.0, 1.0), (1.0, 0.0)]
+
+    def test_each_reward_table_is_checked_once(self, monkeypatch):
+        # tables past max|R| = 1 make policy iteration scale them by a power
+        # of two; the scaled copy is not checked again
+        gen = np.random.default_rng(23)
+        dyn = random_mdp(8, 3, 0.9, gen)
+        table_a, table_b, table_c = (gen.normal(0.0, 5.0, size=(8, 3)) for _ in range(3))
+        hier = RewardHierarchy((RewardLevel("a", table_a, 1.0), RewardLevel("b", table_b, 2.0)))
+        checks, post_init = [], Mdp.__post_init__
+        monkeypatch.setattr(Mdp, "__post_init__",
+                            lambda mdp: checks.append(mdp.rewards) or post_init(mdp))
+        compare_policies(dyn, table_a, table_c)
+        assert len(checks) == 2
+        checks.clear()
+        sweep_weights(dyn, hier, 1, [0.0, 1.5, 3.0, 1.5])  # three distinct tables
+        assert len(checks) == 3
 
     def test_hierarchy_grid_must_match_the_dynamics(self):
         dyn, _ = egoism_vs_humanity()
