@@ -16,7 +16,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 ROW_SUM_TOL = 1e-9
-STACK_BYTES = 1 << 19  # P_pi bytes per stacked solve, sized for L2
+STACK_BYTES = 1 << 19  # sized for L2: P_pi bytes per stacked solve, value iteration history bytes
 ONE_THREAD_N = 100  # smaller solves gave the same bits on 1 and 2 OpenBLAS threads
 _NUMBER_TYPES = (int, float, np.integer, np.floating)  # built once; as_number runs per entry
 _BLAS_LOCK = threading.Lock()  # the thread count is process-wide: held from set to restore
@@ -494,7 +494,8 @@ def evaluate(mdp, probs):
                                for k in range(0, len(probs), per_stack)])
     r_pi, system = expectations(mdp, probs)
     system *= -mdp.gamma
-    np.einsum("...ii->...i", system)[...] += 1.0  # 1 + (-gamma p) rounds as 1 - gamma p
+    # a view of the fresh C-contiguous system's diagonal; 1 + (-gamma p) rounds as 1 - gamma p
+    system.reshape(system.shape[:-2] + (-1,))[..., ::mdp.n_states + 1] += 1.0
     return solve_system(system, r_pi, "discounted-value")
 
 

@@ -9,8 +9,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .mdp import (Policy, QTable, ValidationError, ValueFunction, ValueOverflowError,
-                  as_integer, as_number, evaluate, frozen_array)
+from .mdp import (STACK_BYTES, Policy, QTable, ValidationError, ValueFunction,
+                  ValueOverflowError, as_integer, as_number, evaluate, frozen_array)
 
 DOMINANCE_SLACK = 1e-7
 MAX_SWEEPS = 1_000_000
@@ -84,7 +84,8 @@ def _result_from_v(mdp, v, iterations, shift=0):
 def _sweep_bound(gamma, r_max, threshold):
     # From V = 0, sweep k changes V by at most gamma^(k - 1) r_max (the
     # contraction bound), so value iteration stops by the first k where
-    # that falls below the threshold.
+    # that falls below the threshold.  From any sweep whose change is r_max,
+    # the same holds with that sweep counted as the first.
     if r_max < threshold:  # also gamma = 0, where the threshold is infinite
         return 1
     return 2 + int((math.log(threshold) - math.log(r_max)) / math.log(gamma))
@@ -100,7 +101,10 @@ def value_iteration(mdp, epsilon):
     more than MAX_SWEEPS sweeps, or when MAX_SWEEPS sweeps pass without
     convergence (rounding can keep the change above a tiny threshold), and
     ValueOverflowError once the change is not finite, since it can then
-    never fall below the threshold.
+    never fall below the threshold.  Sweeps run in blocks no longer than the
+    sweeps done, the contraction bound from the last change, or STACK_BYTES
+    of history and changes; a block's changes are tested after it, in sweep
+    order, so every outcome is that of testing each sweep as it is made.
     """
     epsilon = as_number(epsilon, "epsilon", ValidationError)
     gamma = mdp.gamma
@@ -114,33 +118,42 @@ def value_iteration(mdp, epsilon):
             f"value iteration may need {bound} sweeps, more than {MAX_SWEEPS}; "
             f"gamma {gamma} is too close to 1 for epsilon {epsilon}"
         )
-    # each sweep is _lookahead's arithmetic, written into buffers allocated once
+    # each sweep is _lookahead's arithmetic, written into the next row of a
+    # history allocated once, whose row 0 is the iterate the block starts from
+    rows = min(max(1, STACK_BYTES // (16 * mdp.n_states)), bound)
     q = np.empty((mdp.n_states, mdp.n_actions))
-    v, nxt, diff = np.zeros(mdp.n_states), np.empty(mdp.n_states), np.empty(mdp.n_states)
+    hist, diff = np.empty((rows + 1, mdp.n_states)), np.empty((rows, mdp.n_states))
+    hist[0], done, change = 0.0, 0, mdp.reward_bound
     # An overflow is reported by the finiteness check below, not as a warning.
     with np.errstate(over="ignore", invalid="ignore"):
-        for iterations in range(1, MAX_SWEEPS + 1):
-            np.matmul(mdp.transitions, v, out=q)
-            q *= gamma
-            np.add(mdp.rewards, q, out=q)
-            np.maximum.reduce(q, axis=1, out=nxt)
-            np.abs(np.subtract(nxt, v, out=diff), out=diff)
-            change = np.maximum.reduce(diff)
-            if not change < np.inf:  # inf or NaN
-                raise ValueOverflowError(
-                    f"value iteration overflowed after {iterations} sweeps "
-                    f"(sweep change {change}); rewards are too large for gamma {gamma}"
-                )
-            v, nxt = nxt, v
-            if change < threshold:
+        while True:
+            block = min(rows, MAX_SWEEPS - done, max(done, 1),
+                        _sweep_bound(gamma, change, threshold))
+            for k in range(block):
+                np.matmul(mdp.transitions, hist[k], out=q)
+                q *= gamma
+                np.add(mdp.rewards, q, out=q)
+                np.maximum.reduce(q, axis=1, out=hist[k + 1])
+            step = np.subtract(hist[1:block + 1], hist[:block], out=diff[:block])
+            for k, change in enumerate(np.abs(step, out=step).max(axis=1).tolist(), 1):
+                if not change < math.inf:  # inf or NaN
+                    raise ValueOverflowError(
+                        f"value iteration overflowed after {done + k} sweeps "
+                        f"(sweep change {change}); rewards are too large for gamma {gamma}"
+                    )
+                if change < threshold:
+                    break
+            done += k
+            if change < threshold or done == MAX_SWEEPS:
                 break
-        else:
-            raise SweepLimitError(
-                f"value iteration did not converge in {MAX_SWEEPS} sweeps "
-                f"(last change {change}); rounding keeps the change above "
-                f"the threshold {threshold}"
-            )
-    return _result_from_v(mdp, v, iterations)
+            hist[0] = hist[block]
+    if not change < threshold:
+        raise SweepLimitError(
+            f"value iteration did not converge in {MAX_SWEEPS} sweeps "
+            f"(last change {change}); rounding keeps the change above "
+            f"the threshold {threshold}"
+        )
+    return _result_from_v(mdp, hist[k], done)
 
 
 def policy_iteration(mdp):
@@ -159,15 +172,16 @@ def policy_iteration(mdp):
     scaled = mdp.scaled(shift) if shift else mdp
     acts = np.zeros(mdp.n_states, dtype=np.int64)
     rounding = 8.0 * np.finfo(float).eps / (1.0 - mdp.gamma)
+    one_hot = np.eye(mdp.n_actions)
     v_prev, flat = None, 0
     for iterations in range(1, MAX_POLICY_ITERATIONS + 1):
-        v = evaluate(scaled, np.eye(mdp.n_actions)[acts])
+        v = evaluate(scaled, one_hot[acts])
         if v_prev is not None:
             flat = 0 if (v - v_prev).max() > rounding * np.abs(v).max() else flat + 1
             if flat == 2:
                 break
         greedy = _lookahead(scaled, v).argmax(axis=1)
-        if np.array_equal(greedy, acts):
+        if (greedy == acts).all():
             break
         acts, v_prev = greedy, v
     else:

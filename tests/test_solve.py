@@ -1,5 +1,7 @@
 """Exact DP solvers: worked examples, cross-oracle agreement, and properties."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -22,6 +24,7 @@ from mdplab import (
     verify_deterministic_optimality,
     with_rewards,
 )
+from mdplab.mdp import STACK_BYTES
 from mdplab.rewards import ARGMAX_TOL
 
 
@@ -71,6 +74,19 @@ class TestValueIteration:
         monkeypatch.setattr(mdplab.solve, "MAX_SWEEPS", 5)
         with pytest.raises(SweepLimitError, match="did not converge in 5 sweeps"):
             value_iteration(stay_go, 1e-8)
+
+    def test_sweep_history_stays_within_the_stack_bytes(self):
+        # the history of iterates and of their changes is allocated once, within
+        # STACK_BYTES; buffers made per block would pile up beside each other
+        mdp = random_mdp(300, 2, 0.99, np.random.default_rng(0))
+        tracemalloc.start()
+        try:
+            res = value_iteration(mdp, 1e-8)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert res.iterations > 2000
+        assert peak <= STACK_BYTES + 64 * 1024
 
     @settings(max_examples=40, deadline=None)
     @given(
