@@ -37,14 +37,9 @@ class TooFewCheckpointsError(ValidationError):
 
 @dataclass(frozen=True)
 class LearningRateSchedule:
-    """Rule mapping the i-th visit of a (state, action) pair to a step size.
-
-    Families:
-      harmonic(p): rate at visit i is i**(-p) with p > 0 (first visit rate 1).
-      constant(c): rate c at every visit, 0 <= c < 1.
-      from_table(values): rate at visit i is values[i - 1]; past the end of
-        the table the final entry repeats.
-    """
+    """Rule mapping the i-th visit of a (state, action) pair to a step size,
+    built by ``harmonic``, ``constant`` or ``from_table``; ``rates`` defines
+    each family's rates."""
 
     family: str
     p: float = None
@@ -85,17 +80,19 @@ class LearningRateSchedule:
         return cls("table", table=values)
 
     def rate(self, i):
-        """Step size for the i-th visit of a pair (i >= 1)."""
-        if self.family == "harmonic":
-            return i ** -self.p
-        if self.family == "constant":
-            return self.c
-        return self.table[i - 1] if i <= len(self.table) else self.table[-1]
+        """Step size for the i-th visit of a pair (i >= 1): ``rates(i, i + 1)[0]``."""
+        return self.rates(i, i + 1)[0]
 
     def rates(self, start, stop):
-        """The floats of ``[self.rate(i) for i in range(start, stop)]``, start >= 1."""
+        """Step sizes, as floats, for the integer visit indices 1 <= start <= i < stop
+        (else ValidationError): harmonic(p) gives Python's ``i ** -p`` (p > 0, so
+        the first visit's rate is 1), constant(c) gives c (0 <= c < 1), and
+        from_table(values) gives values[i - 1], the last entry repeating past the end."""
+        start, stop = as_integer(start, "start"), as_integer(stop, "stop")
+        if start < 1:
+            raise ValidationError(f"visit indices start at 1, got start {start}")
         if self.family == "harmonic":
-            neg = -self.p  # rate's own expression, so the bits match
+            neg = -self.p
             return [i ** neg for i in range(start, stop)]
         if self.family == "constant":
             return [self.c] * (stop - start)
@@ -219,13 +216,14 @@ class ConvergenceTrace:
     max_abs_q: float
 
 
-def _checkpoint(step, q, q_star, stars):
+def _checkpoint(step, q, best, q_star, stars):
     """Sup-norm distance to the oracle (NaN if any entry is NaN) and, per state,
-    whether an action equal to the row's ``max`` is in the optimal mask ``stars``."""
+    whether an action equal to the row maximum ``best[s]`` the step loop keeps
+    (the object ``max(q[s])`` returns) is in the optimal mask ``stars``."""
     table = np.array(q)
     with np.errstate(over="ignore", invalid="ignore"):  # +-1e308 entries differ by inf
         err = np.abs(table - q_star).max()
-    greedy = table == [[max(row)] for row in q]  # as the step loop picks its maximum
+    greedy = table == np.array(best)[:, None]
     return Checkpoint(step, float(err), (greedy & stars).any(axis=1))
 
 
@@ -319,7 +317,7 @@ def q_learning_run(mdp, config, oracle):
                     lo = value
                 s = nxt
             if t % every == 0:
-                checkpoints.append(_checkpoint(t, q, q_star, stars))
+                checkpoints.append(_checkpoint(t, q, best, q_star, stars))
 
     return ConvergenceTrace(
         checkpoints=tuple(checkpoints),

@@ -24,9 +24,12 @@ class SweepLimitError(ValidationError):
     MAX_POLICY_ITERATIONS iterations."""
 
 
-def _lookahead(mdp, v):
-    # the solvers' own unchecked step: v is already an (S,) float array
-    return mdp.rewards + mdp.gamma * (mdp.transitions @ v)
+def _lookahead(mdp, v, out=None):
+    # the package's one R + gamma (P v), unchecked: v is already an (S,) float
+    # array, and out, if given, an (S, A) buffer that does not change the bits
+    q = np.matmul(mdp.transitions, v, out=out)
+    q *= mdp.gamma
+    return np.add(mdp.rewards, q, out=q)
 
 
 def q_from_v(mdp, v):
@@ -118,8 +121,7 @@ def value_iteration(mdp, epsilon):
             f"value iteration may need {bound} sweeps, more than {MAX_SWEEPS}; "
             f"gamma {gamma} is too close to 1 for epsilon {epsilon}"
         )
-    # each sweep is _lookahead's arithmetic, written into the next row of a
-    # history allocated once, whose row 0 is the iterate the block starts from
+    # sweep k writes row k + 1 of a history allocated once; row 0 starts a block
     rows = min(max(1, STACK_BYTES // (16 * mdp.n_states)), bound)
     q = np.empty((mdp.n_states, mdp.n_actions))
     hist, diff = np.empty((rows + 1, mdp.n_states)), np.empty((rows, mdp.n_states))
@@ -130,10 +132,7 @@ def value_iteration(mdp, epsilon):
             block = min(rows, MAX_SWEEPS - done, max(done, 1),
                         _sweep_bound(gamma, change, threshold))
             for k in range(block):
-                np.matmul(mdp.transitions, hist[k], out=q)
-                q *= gamma
-                np.add(mdp.rewards, q, out=q)
-                np.maximum.reduce(q, axis=1, out=hist[k + 1])
+                np.maximum.reduce(_lookahead(mdp, hist[k], q), axis=1, out=hist[k + 1])
             step = np.subtract(hist[1:block + 1], hist[:block], out=diff[:block])
             for k, change in enumerate(np.abs(step, out=step).max(axis=1).tolist(), 1):
                 if not change < math.inf:  # inf or NaN

@@ -1,4 +1,4 @@
-"""Package structure: no module imports another module's private names."""
+"""Package structure: no private cross-module imports, and one definition per rule."""
 
 import ast
 import re
@@ -80,6 +80,38 @@ def test_one_optimal_action_set_rule_in_mdp_argmax_sets():
     tree = ast.parse((PACKAGE / "qlearn.py").read_text(encoding="utf-8"))
     assert not [node for node in ast.walk(tree)
                 if isinstance(node, ast.Name) and node.id == "frozenset"]
+
+
+def _owners(path, found):
+    # names of the top-level functions and class methods holding a node that
+    # satisfies found
+    owners = []
+    for node in ast.parse(path.read_text(encoding="utf-8")).body:
+        for item in node.body if isinstance(node, ast.ClassDef) else [node]:
+            owners += [getattr(item, "name", "<module>")] * sum(map(found, ast.walk(item)))
+    return owners
+
+
+def _is_matmul(node):
+    return ((isinstance(node, ast.BinOp) and isinstance(node.op, ast.MatMult))
+            or (isinstance(node, ast.Call) and getattr(node.func, "attr", None) == "matmul"))
+
+
+def test_one_lookahead_in_solve():
+    # R + gamma (P v) is written once, in _lookahead, and value iteration's
+    # sweep, the greedy step and the results all go through it
+    assert _owners(PACKAGE / "solve.py", _is_matmul) == ["_lookahead"]
+
+
+def test_one_rate_rule_in_rates():
+    # the three schedule families are defined only in rates, which rate reads
+    path = PACKAGE / "qlearn.py"
+    (rate,) = [node for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+               if isinstance(node, ast.FunctionDef) and node.name == "rate"]
+    assert not [node for node in ast.walk(rate)
+                if isinstance(node, ast.Attribute) and node.attr == "family"]
+    assert set(_owners(path, lambda node: isinstance(node, ast.BinOp)
+                       and isinstance(node.op, ast.Pow))) == {"rates"}
 
 
 def test_core_modules_import_only_from_mdp():

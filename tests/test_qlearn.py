@@ -68,10 +68,14 @@ class TestScheduleValidation:
             LearningRateSchedule.from_table([])
 
 
-def rates_match_rate(schedule, start, stop):
-    """``schedule.rates`` gives the bits of one ``rate`` call per index."""
+def rates_match(schedule, start, stop, formula):
+    """``schedule.rates`` gives the bits of ``formula(i)`` for each index."""
     built = schedule.rates(start, stop)
-    assert [x.hex() for x in built] == [schedule.rate(i).hex() for i in range(start, stop)]
+    assert [x.hex() for x in built] == [formula(i).hex() for i in range(start, stop)]
+
+
+def harmonic_rates_match(p, start, stop):
+    rates_match(LearningRateSchedule.harmonic(p), start, stop, lambda i: i ** -p)
 
 
 index_ranges = st.integers(1, _RATE_TABLE_CAP).flatmap(
@@ -83,7 +87,7 @@ NAMED_POWERS = [1 / 3, 0.5, 0.51, 1.0, 2.0, 100.0]
 class TestBulkRates:
     @pytest.mark.parametrize("p", NAMED_POWERS)
     def test_harmonic_bits_over_the_whole_table(self, p):
-        rates_match_rate(LearningRateSchedule.harmonic(p), 1, _RATE_TABLE_CAP)
+        harmonic_rates_match(p, 1, _RATE_TABLE_CAP)
 
     def test_a_large_power_underflows_to_zero(self):
         built = LearningRateSchedule.harmonic(100.0).rates(1722, 1724)
@@ -94,14 +98,14 @@ class TestBulkRates:
            bounds=index_ranges)
     @example(p=1.0, bounds=(7, 7))
     def test_harmonic(self, p, bounds):
-        rates_match_rate(LearningRateSchedule.harmonic(p), *bounds)
+        harmonic_rates_match(p, *bounds)
 
     @settings(max_examples=100, deadline=None)
     @given(c=st.floats(0.0, 1.0, exclude_max=True), bounds=index_ranges)
     @example(c=0.0, bounds=(1, 50))
     @example(c=0.3, bounds=(5, 5))
     def test_constant(self, c, bounds):
-        rates_match_rate(LearningRateSchedule.constant(c), *bounds)
+        rates_match(LearningRateSchedule.constant(c), *bounds, lambda i: c)
 
     @settings(max_examples=200, deadline=None)
     @given(values=st.lists(st.floats(0.0, 1.0), min_size=1, max_size=20),
@@ -111,7 +115,42 @@ class TestBulkRates:
     @example(values=[0.9, 0.5, 0.3], start=4, length=0)  # empty, past the end
     @example(values=[0.9, 0.5, 0.3], start=2, length=0)  # empty, inside the table
     def test_table(self, values, start, length):
-        rates_match_rate(LearningRateSchedule.from_table(values), start, start + length)
+        rates_match(LearningRateSchedule.from_table(values), start, start + length,
+                    lambda i: values[min(i, len(values)) - 1])
+
+
+SCHEDULES = [LearningRateSchedule.harmonic(1.0), LearningRateSchedule.constant(0.3),
+             LearningRateSchedule.from_table([0.9, 0.5])]
+
+
+@pytest.mark.parametrize("schedule", SCHEDULES, ids=lambda schedule: schedule.family)
+class TestVisitIndices:
+    # an index below 1 would wrap around a table (rate(0) its last entry) and
+    # give harmonic a ZeroDivisionError at 0 and a negative rate at -2
+    @pytest.mark.parametrize("i", [0, -1, -2])
+    def test_rate_below_one(self, schedule, i):
+        with pytest.raises(ValidationError, match="start at 1"):
+            schedule.rate(i)
+
+    def test_rates_from_zero(self, schedule):
+        with pytest.raises(ValidationError, match="start at 1"):
+            schedule.rates(0, 3)
+
+    @pytest.mark.parametrize("i", [2.5, 2.0, True, np.float64(2.0)], ids=repr)
+    def test_a_non_integer_index(self, schedule, i):
+        with pytest.raises(ValidationError, match="must be an integer"):
+            schedule.rate(i)
+
+    @pytest.mark.parametrize("i", [2.5, True, np.float64(2.0), "2", None], ids=repr)
+    def test_a_non_integer_bound(self, schedule, i):
+        with pytest.raises(ValidationError, match="must be an integer"):
+            schedule.rates(i, 3)
+        with pytest.raises(ValidationError, match="must be an integer"):
+            schedule.rates(1, i)
+
+    def test_a_numpy_integer_index(self, schedule):
+        assert schedule.rate(np.int64(2)).hex() == schedule.rate(2).hex()
+        assert schedule.rates(np.int64(1), np.int64(4)) == schedule.rates(1, 4)
 
 
 class TestClassifySchedule:
@@ -349,19 +388,22 @@ class TestCheckpoint:
         stars = np.array([[True, False]])
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            cp = _checkpoint(7, [[1e308, 0.0]], np.array([[-1e308, 0.0]]), stars)
+            cp = _checkpoint(7, [[1e308, 0.0]], [1e308], np.array([[-1e308, 0.0]]), stars)
         assert cp.step == 7 and cp.supnorm_error == np.inf
         assert type(cp.supnorm_error) is float
 
     def test_a_nan_entry_gives_a_nan_error(self):
         stars = np.array([[True, False], [True, False]])
-        cp = _checkpoint(1, [[np.nan, 0.0], [5.0, 0.0]], np.zeros((2, 2)), stars)
+        cp = _checkpoint(1, [[np.nan, 0.0], [5.0, 0.0]], [np.nan, 5.0], np.zeros((2, 2)),
+                         stars)
         assert np.isnan(cp.supnorm_error)
 
     def test_a_nan_row_matches_as_the_step_loop_takes_its_max(self):
-        # max([1.0, nan]) is 1.0, and max([nan, 1.0]) is nan, which equals nothing
+        # max([1.0, nan]) is 1.0, and max([nan, 1.0]) is nan, which equals
+        # nothing; the step loop keeps those maxima
         stars = np.array([[True, False], [False, True]])
-        cp = _checkpoint(1, [[1.0, np.nan], [np.nan, 1.0]], np.zeros((2, 2)), stars)
+        cp = _checkpoint(1, [[1.0, np.nan], [np.nan, 1.0]], [1.0, np.nan], np.zeros((2, 2)),
+                         stars)
         assert cp.greedy_match.tolist() == [True, False]
 
 

@@ -18,6 +18,7 @@ from mdplab import (
     make_mdp,
     policy_evaluate,
     policy_iteration,
+    q_from_v,
     random_mdp,
     stay_go_mdp,
     value_iteration,
@@ -284,6 +285,17 @@ class TestBellmanProperties:
             assert np.abs(res.v_star.values - q.max(axis=1)).max() < 1e-9
             lookahead = mdp.rewards + mdp.gamma * (mdp.transitions @ res.v_star.values)
             assert np.abs(q - lookahead).max() < 1e-9
+
+    def test_lookahead_bits_are_the_written_out_formula(self, rng):
+        # the one lookahead scales P v by gamma in place; IEEE multiplication
+        # commutes, so its bits are those of R + gamma * (P @ v)
+        for n_s in (1, 2, 7, 20, 64, 120):
+            for n_a in (1, 3, 5):
+                mdp = random_mdp(n_s, n_a, float(rng.uniform(0.0, 0.999)), rng)
+                v = rng.normal(0.0, 100.0, n_s)
+                expected = mdp.rewards + mdp.gamma * (mdp.transitions @ v)
+                assert q_from_v(mdp, v).tobytes() == expected.tobytes()
+                assert bellman_backup(mdp, v).tobytes() == expected.max(axis=1).tobytes()
 
     def test_argmax_sets_invariant_under_positive_affine_rewards(self, rng):
         def argmax_sets(mdp):
