@@ -10,7 +10,7 @@ the harmonic-power and constant families.
 
 from bisect import bisect_right
 from dataclasses import dataclass
-from itertools import islice, repeat
+from itertools import repeat
 
 import numpy as np
 
@@ -81,6 +81,7 @@ class LearningRateSchedule:
 
     def rate(self, i):
         """Step size for the i-th visit of a pair (i >= 1): ``rates(i, i + 1)[0]``."""
+        i = as_integer(i, "visit index")
         return self.rates(i, i + 1)[0]
 
     def rates(self, start, stop):
@@ -236,7 +237,9 @@ def q_learning_run(mdp, config, oracle):
     epsilon-greedy over the current table with ties to the lowest action
     index; the update bootstraps on the sampled successor either way.  The
     trace records the sup-norm distance to the oracle's action values every
-    ``checkpoint_every`` steps.
+    ``checkpoint_every`` steps.  The uniforms are drawn per segment, at most
+    _CHUNK steps ending at a checkpoint or at the run's end; PCG64 fills a
+    block in order, so no update depends on ``checkpoint_every``.
     """
     n_s, n_a = mdp.n_states, mdp.n_actions
     q_star = oracle.q_star.values
@@ -267,57 +270,50 @@ def q_learning_run(mdp, config, oracle):
     rng = np.random.default_rng(config.seed)
     checkpoints = []
     t = 0
-    remaining = int(config.steps)
-    while remaining > 0:
-        # One (chunk, 4) block per pass, turned into flat per-step lists with
-        # the same multiply and truncation as int(u * n): the restart state
-        # (uniform mode only), the exploration action or -1 when the coin
-        # says greedy, and the transition draw.  PCG64 fills the block in
-        # order, so the stream does not depend on the block size.
-        u = rng.random((min(remaining, _CHUNK), 4))
-        n = len(u)
-        remaining -= n
+    steps = int(config.steps)
+    # One pass per segment, its (seg, 4) uniforms turned into flat per-step
+    # lists with the same multiply and truncation as int(u * n): the restart
+    # state (uniform mode only), the exploration action or -1 when the coin
+    # says greedy, and the transition draw.
+    while t < steps:
+        seg = min(steps - t, every - t % every, _CHUNK)
+        t += seg
+        u = rng.random((seg, 4))
         acting = (u[:, 0] * n_s).astype(np.int64).tolist() if uniform_mode else repeat(None)
         explore = np.where(u[:, 1] < eps, (u[:, 2] * n_a).astype(np.int64), -1).tolist()
-        block = zip(acting, explore, u[:, 3].tolist())
-        while n > 0:
-            # steps up to the next checkpoint, or to the end of the block
-            seg = min(n, every - t % every)
-            n -= seg
-            t += seg
-            # cover every visit index this segment can reach, up to the cap
-            need = min(max(map(max, visits)) + seg + 1, cap)
-            if need > len(rates):
-                rates += config.schedule.rates(len(rates), need)
-            for s0, a, u3 in islice(block, seg):
-                if uniform_mode:
-                    s = s0
-                row = q[s]
-                if a < 0:  # greedy: the first maximum, the lowest tied index
-                    a = top[s]
-                nxt = bisect_right(cum[s][a], u3)
-                counts = visits[s]
-                i = counts[a] + 1
-                counts[a] = i
-                # below the cap the table covers every index this segment reaches
-                beta = rates[i] if i < cap else rate(i)
-                qa = row[a]
-                value = qa + beta * (rewards[s][a] + gamma * best[nxt] - qa)
-                row[a] = value
-                m = best[s]
-                g = top[s]
-                if value > m or (value == m and a <= g):
-                    best[s], top[s] = value, a
-                elif a == g or value != value:  # the old maximum went down, or a NaN came in
-                    m = max(row)
-                    best[s], top[s] = m, row.index(m)
-                if value > hi:
-                    hi = value
-                elif value < lo:
-                    lo = value
-                s = nxt
-            if t % every == 0:
-                checkpoints.append(_checkpoint(t, q, best, q_star, stars))
+        # cover every visit index this segment can reach, up to the cap
+        need = min(max(map(max, visits)) + seg + 1, cap)
+        if need > len(rates):
+            rates += config.schedule.rates(len(rates), need)
+        for s0, a, u3 in zip(acting, explore, u[:, 3].tolist()):
+            if uniform_mode:
+                s = s0
+            row = q[s]
+            if a < 0:  # greedy: the first maximum, the lowest tied index
+                a = top[s]
+            nxt = bisect_right(cum[s][a], u3)
+            counts = visits[s]
+            i = counts[a] + 1
+            counts[a] = i
+            # below the cap the table covers every index this segment reaches
+            beta = rates[i] if i < cap else rate(i)
+            qa = row[a]
+            value = qa + beta * (rewards[s][a] + gamma * best[nxt] - qa)
+            row[a] = value
+            m = best[s]
+            g = top[s]
+            if value > m or (value == m and a <= g):
+                best[s], top[s] = value, a
+            elif a == g or value != value:  # the old maximum went down, or a NaN came in
+                m = max(row)
+                best[s], top[s] = m, row.index(m)
+            if value > hi:
+                hi = value
+            elif value < lo:
+                lo = value
+            s = nxt
+        if t % every == 0:
+            checkpoints.append(_checkpoint(t, q, best, q_star, stars))
 
     return ConvergenceTrace(
         checkpoints=tuple(checkpoints),

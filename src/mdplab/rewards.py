@@ -264,6 +264,8 @@ def sweep_weights(dynamics, hierarchy, level_index, grid):
     composition where the same level has weight zero; each distinct composed
     table is solved once.  Returns a list of (weight, divergence) pairs.
     """
+    if not np.iterable(grid):
+        raise ValidationError("weight grid must be a sequence of numbers")
     grid = [as_number(w, "a grid weight", ValidationError) for w in grid]
     if not grid:
         raise ValidationError("weight grid must be nonempty")

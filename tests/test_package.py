@@ -114,6 +114,22 @@ def test_one_rate_rule_in_rates():
                        and isinstance(node.op, ast.Pow))) == {"rates"}
 
 
+def test_one_segment_loop_in_q_learning_run():
+    # each checkpoint segment draws its own uniforms in q_learning_run's one
+    # loop; no inner loop cuts a shared block into segments
+    path = PACKAGE / "qlearn.py"
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    (run,) = [node for node in tree.body
+              if isinstance(node, ast.FunctionDef) and node.name == "q_learning_run"]
+    assert sum(isinstance(node, ast.While) for node in ast.walk(run)) == 1
+    assert _owners(path, lambda node: isinstance(node, ast.Call)
+                   and getattr(node.func, "attr", None) == "random"
+                   and getattr(node.func.value, "id", None) == "rng") == ["q_learning_run"]
+    assert "islice" not in {alias.name for node in ast.walk(tree)
+                            if isinstance(node, (ast.Import, ast.ImportFrom))
+                            for alias in node.names}
+
+
 def test_core_modules_import_only_from_mdp():
     # gradient, Q-learning and the solvers share their numeric rules through
     # mdp.py alone

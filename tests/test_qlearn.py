@@ -136,9 +136,9 @@ class TestVisitIndices:
         with pytest.raises(ValidationError, match="start at 1"):
             schedule.rates(0, 3)
 
-    @pytest.mark.parametrize("i", [2.5, 2.0, True, np.float64(2.0)], ids=repr)
+    @pytest.mark.parametrize("i", [2.5, 2.0, True, np.float64(2.0), "2", None, [1]], ids=repr)
     def test_a_non_integer_index(self, schedule, i):
-        with pytest.raises(ValidationError, match="must be an integer"):
+        with pytest.raises(ValidationError, match="visit index must be an integer"):
             schedule.rate(i)
 
     @pytest.mark.parametrize("i", [2.5, True, np.float64(2.0), "2", None], ids=repr)
@@ -369,6 +369,20 @@ class TestQLearningRun:
         trace = q_learning_run(mdp, config, oracle)
         assert trace.visits.tolist() == [[steps]]
         assert trace_bits(trace) == trace_bits(reference_q_learning_run(mdp, config, oracle))
+
+    def test_updates_do_not_depend_on_checkpoint_every(self, stay_go, stay_go_oracle):
+        # a run over two blocks of uniforms gives the same bits whether its
+        # segments end inside a block, at a block's end, just past it, or only
+        # at the run's end
+        steps = 2 * _CHUNK + 5
+        bits = []
+        for every in (997, _CHUNK, _CHUNK + 1, steps):
+            config = QLearnConfig(schedule=LearningRateSchedule.harmonic(0.8),
+                                  steps=steps, seed=7, epsilon=0.2, checkpoint_every=every)
+            trace = q_learning_run(stay_go, config, stay_go_oracle)
+            assert [cp.step for cp in trace.checkpoints] == list(range(every, steps + 1, every))
+            bits.append({k: v for k, v in trace_bits(trace).items() if k != "checkpoints"})
+        assert all(b == bits[0] for b in bits[1:])
 
     def test_oracle_shape_mismatch(self, stay_go, rng):
         other = policy_iteration(random_mdp(3, 2, 0.5, rng))

@@ -362,6 +362,9 @@ class TestSweepWeights:
             sweep_weights(dyn, hier, 1, [-1.0])
         with pytest.raises(ValidationError):
             sweep_weights(dyn, hier, 5, [1.0])
+        for grid in (5, None):
+            with pytest.raises(ValidationError, match="weight grid"):
+                sweep_weights(dyn, hier, 1, grid)
 
 
 class TestHierarchyParsing:
