@@ -464,6 +464,10 @@ def _blas_threads_setter():
     return setter
 
 
+def _singular(err, flag):  # LAPACK's singular-system report, as np.linalg.solve raises it
+    raise np.linalg.LinAlgError("Singular matrix")
+
+
 def solve_system(system, rhs, what):
     """x with system @ x = rhs, for one (n, n) system or a (..., n, n) stack;
     a singular system raises SingularSystemError naming ``what``.  With n >=
@@ -474,7 +478,9 @@ def solve_system(system, rhs, what):
         _BLAS_LOCK.acquire()
         old = serial(1)
     try:
-        return np.linalg.solve(system, rhs[..., None])[..., 0]
+        # np.linalg.solve's gufunc and errstate, without its wrapper's checks
+        with np.errstate(all="ignore", invalid="call", call=_singular):
+            return np.linalg._umath_linalg.solve1(system, rhs, signature="dd->d")
     except np.linalg.LinAlgError as exc:
         raise SingularSystemError(f"{what} system is singular: {exc}") from exc
     finally:
@@ -487,7 +493,11 @@ def evaluate(mdp, probs):
     """Discounted values V (S,) of an (S, A) action-probability array, or
     (K, S) of each policy in a (K, S, A) stack: one direct solve of
     (I - gamma P_pi) V = R_pi per policy, built in P_pi's own buffer.  A
-    stack whose P_pi passes STACK_BYTES is solved in consecutive sub-stacks."""
+    stack whose P_pi passes STACK_BYTES is solved in consecutive sub-stacks;
+    other ``probs`` (not an ndarray ending in (S, A)) raise ValidationError."""
+    shape = (mdp.n_states, mdp.n_actions)
+    if not isinstance(probs, np.ndarray) or probs.shape[-2:] != shape:
+        raise ValidationError(f"probs must be an ndarray whose shape ends in {shape}")
     per_stack = max(1, STACK_BYTES // (8 * mdp.n_states ** 2))
     if probs.ndim == 3 and len(probs) > per_stack:
         return np.concatenate([evaluate(mdp, probs[k:k + per_stack])

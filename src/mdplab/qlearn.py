@@ -8,6 +8,7 @@ sum to a finite value; ``classify_schedule`` decides this analytically for
 the harmonic-power and constant families.
 """
 
+import threading
 from bisect import bisect_right
 from dataclasses import dataclass
 from itertools import repeat
@@ -17,9 +18,10 @@ import numpy as np
 from .mdp import QTable, ValidationError, argmax_sets, as_integer, as_number, successor_cdf
 
 _CHUNK = 1 << 14
-# Longest per-run table of schedule.rates (about 8 MB harmonic, 2 MB constant,
-# which repeats one float); a visit index past it calls schedule.rate directly.
+# Longest table of schedule.rates a schedule keeps (about 8 MB harmonic, 2 MB
+# constant, which repeats one float); a visit index past it calls schedule.rate.
 _RATE_TABLE_CAP = 1 << 18
+_RATES_LOCK = threading.Lock()  # runs in several threads may grow one schedule's table
 OPTIMAL_SET_TOL = 1e-9
 
 
@@ -39,7 +41,8 @@ class TooFewCheckpointsError(ValidationError):
 class LearningRateSchedule:
     """Rule mapping the i-th visit of a (state, action) pair to a step size,
     built by ``harmonic``, ``constant`` or ``from_table``; ``rates`` defines
-    each family's rates."""
+    each family's rates.  ``q_learning_run`` keeps the rates it builds on the
+    schedule for later runs, outside its value (==, hash, repr and pickle)."""
 
     family: str
     p: float = None
@@ -78,6 +81,9 @@ class LearningRateSchedule:
         if any(v > 1.0 for v in values):
             raise RateAtLeastOneError("table rates must be <= 1")
         return cls("table", table=values)
+
+    def __getstate__(self):
+        return {k: v for k, v in vars(self).items() if k != "_rates"}
 
     def rate(self, i):
         """Step size for the i-th visit of a pair (i >= 1): ``rates(i, i + 1)[0]``."""
@@ -239,7 +245,8 @@ def q_learning_run(mdp, config, oracle):
     trace records the sup-norm distance to the oracle's action values every
     ``checkpoint_every`` steps.  The uniforms are drawn per segment, at most
     _CHUNK steps ending at a checkpoint or at the run's end; PCG64 fills a
-    block in order, so no update depends on ``checkpoint_every``.
+    block in order, so no update depends on ``checkpoint_every``.  Rates come from
+    the schedule's kept table, grown up to _RATE_TABLE_CAP to cover each segment.
     """
     n_s, n_a = mdp.n_states, mdp.n_actions
     q_star = oracle.q_star.values
@@ -250,8 +257,8 @@ def q_learning_run(mdp, config, oracle):
     rewards = mdp.rewards.tolist()
     gamma = mdp.gamma
     eps = config.epsilon
-    rate = config.schedule.rate
-    rates = [0.0]  # rates[i] == rate(i) for 1 <= i < len(rates)
+    schedule = config.schedule
+    rates = vars(schedule).setdefault("_rates", [0.0])  # [0.0, rate(1), rate(2), ...]
     cap = _RATE_TABLE_CAP
     every = int(config.checkpoint_every)
 
@@ -284,7 +291,9 @@ def q_learning_run(mdp, config, oracle):
         # cover every visit index this segment can reach, up to the cap
         need = min(max(map(max, visits)) + seg + 1, cap)
         if need > len(rates):
-            rates += config.schedule.rates(len(rates), need)
+            with _RATES_LOCK:  # another thread may have grown it meanwhile
+                if need > len(rates):
+                    rates += schedule.rates(len(rates), need)
         for s0, a, u3 in zip(acting, explore, u[:, 3].tolist()):
             if uniform_mode:
                 s = s0
@@ -296,7 +305,7 @@ def q_learning_run(mdp, config, oracle):
             i = counts[a] + 1
             counts[a] = i
             # below the cap the table covers every index this segment reaches
-            beta = rates[i] if i < cap else rate(i)
+            beta = rates[i] if i < cap else schedule.rate(i)
             qa = row[a]
             value = qa + beta * (rewards[s][a] + gamma * best[nxt] - qa)
             row[a] = value

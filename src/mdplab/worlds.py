@@ -2,7 +2,7 @@
 
 import numpy as np
 
-from .mdp import make_mdp, with_rewards
+from .mdp import as_integer, make_mdp, with_rewards
 from .rewards import RewardHierarchy, RewardLevel
 
 
@@ -63,6 +63,7 @@ def random_mdp(n_states, n_actions, gamma, rng):
     Dense rows give every action full support, so any policy induces an
     irreducible chain.
     """
+    n_states, n_actions = as_integer(n_states, "n_states"), as_integer(n_actions, "n_actions")
     transitions = rng.dirichlet(np.ones(n_states), size=(n_states, n_actions))
     rewards = rng.uniform(-1.0, 1.0, size=(n_states, n_actions))
     states = tuple(f"s{i}" for i in range(n_states))

@@ -416,8 +416,8 @@ class TestSolveSystem:
 @pytest.fixture
 def blas_threads(monkeypatch):
     """The bundled OpenBLAS thread count, set to 2 for the test and restored
-    after it; each np.linalg.solve call records (n, thread count) in
-    ``blas_threads.seen``.  Skips under another BLAS."""
+    after it; each call of the LAPACK gufunc under solve_system records (n,
+    thread count) in ``blas_threads.seen``.  Skips under another BLAS."""
     lib = ctypes.CDLL(np.linalg._umath_linalg.__file__)
     get = getattr(lib, "scipy_openblas_get_num_threads64_", None) or getattr(
         lib, "openblas_get_num_threads", None)
@@ -426,13 +426,13 @@ def blas_threads(monkeypatch):
         pytest.skip("numpy's BLAS is not the bundled OpenBLAS")
     get.argtypes, get.restype = [], ctypes.c_int
     put.argtypes, put.restype = [ctypes.c_int], ctypes.c_int
-    seen, solve = [], np.linalg.solve
+    seen, solve1 = [], np.linalg._umath_linalg.solve1
 
-    def recording_solve(a, b):
+    def recording_solve(a, b, **kwargs):
         seen.append((a.shape[-1], get()))
-        return solve(a, b)
+        return solve1(a, b, **kwargs)
 
-    monkeypatch.setattr(np.linalg, "solve", recording_solve)
+    monkeypatch.setattr(np.linalg._umath_linalg, "solve1", recording_solve)
     caller = put(2)
     try:
         yield SimpleNamespace(get=get, seen=seen)
@@ -496,6 +496,18 @@ def test_scaled_copy_equals_a_checked_copy_of_the_scaled_table():
         assert scaled.transitions is mdp.transitions and mdp.rewards[0, 0] == 3.0
 
 
+@pytest.mark.parametrize("counts", [(2.0, 2), (2, 2.0), ("3", 2), (True, 2)])
+def test_random_mdp_counts_must_be_integers(counts):
+    with pytest.raises(ValidationError, match="must be an integer"):
+        random_mdp(*counts, 0.9, np.random.default_rng(0))
+
+
+def test_random_mdp_takes_numpy_integer_counts():
+    made = [random_mdp(n_s, n_a, 0.9, np.random.default_rng(1))
+            for n_s, n_a in ((np.int64(4), np.int32(3)), (4, 3))]
+    assert mdp_to_dict(made[0]) == mdp_to_dict(made[1])
+
+
 class TestPolicyEvaluate:
     def test_self_loop_geometric_series(self):
         mdp = validate_mdp(one_state_doc(gamma=0.9, reward=1.0))
@@ -529,6 +541,12 @@ class TestPolicyEvaluate:
             pol = Policy.stochastic(rng.dirichlet(np.ones(n_a), size=n_s))
             v = policy_evaluate(mdp, pol).values
             assert np.abs(v).max() <= mdp.reward_bound / (1.0 - mdp.gamma) + 1e-9
+
+    @pytest.mark.parametrize("probs", [[[1, 0], [1, 0]], np.full((3, 2), 0.5), np.ones(2),
+                                       np.ones((2, 2, 3)), np.float64(1.0)])
+    def test_probs_must_be_an_array_ending_in_states_and_actions(self, stay_go, probs):
+        with pytest.raises(ValidationError, match="probs must be an ndarray"):
+            evaluate(stay_go, probs)
 
     def test_stack_evaluates_each_policy(self, rng):
         mdp = random_mdp(7, 3, 0.9, rng)

@@ -1,5 +1,8 @@
 """Learning-rate schedules, the condition classifier, and Q-learning runs."""
 
+import pickle
+import sys
+import threading
 import warnings
 from dataclasses import replace
 
@@ -243,6 +246,18 @@ class TestConfigValidation:
         assert config.seed == seed
 
 
+def _recorded_rates(monkeypatch):
+    """The (start, stop) of each ``LearningRateSchedule.rates`` call from now on."""
+    ranges, rates = [], LearningRateSchedule.rates
+
+    def recorded(schedule, start, stop):
+        ranges.append((start, stop))
+        return rates(schedule, start, stop)
+
+    monkeypatch.setattr(LearningRateSchedule, "rates", recorded)
+    return ranges
+
+
 class TestQLearningRun:
     def test_single_forced_update(self, stay_go, stay_go_oracle):
         # greedy from an all-zero table at s1 picks the lowest-index action
@@ -330,18 +345,13 @@ class TestQLearningRun:
         # each visit index is rated once, when the table grows to cover it,
         # not once per update of every pair that reaches it, and below the
         # cap no index is rated by a rate call
-        ranges, rated = [], []
-        rates, rate = LearningRateSchedule.rates, LearningRateSchedule.rate
-
-        def recorded(schedule, start, stop):
-            ranges.append((start, stop))
-            return rates(schedule, start, stop)
+        ranges, rated = _recorded_rates(monkeypatch), []
+        rate = LearningRateSchedule.rate
 
         def counted(schedule, i):
             rated.append(i)
             return rate(schedule, i)
 
-        monkeypatch.setattr(LearningRateSchedule, "rates", recorded)
         monkeypatch.setattr(LearningRateSchedule, "rate", counted)
         every = 1000
         config = QLearnConfig(schedule=LearningRateSchedule.harmonic(0.7),
@@ -395,6 +405,90 @@ class TestQLearningRun:
                               steps=10, start="nowhere")
         with pytest.raises(ValidationError):
             q_learning_run(stay_go, config, stay_go_oracle)
+
+
+class TestKeptRateTable:
+    # q_learning_run keeps the rates it builds on the schedule object, so a
+    # later run of the same schedule builds only the indices none built before
+    def test_a_second_run_builds_no_index_twice(self, stay_go, stay_go_oracle, monkeypatch):
+        ranges = _recorded_rates(monkeypatch)
+        schedule = LearningRateSchedule.harmonic(0.7)
+        first = QLearnConfig(schedule=schedule, steps=5000, seed=3, checkpoint_every=500)
+        q_learning_run(stay_go, first, stay_go_oracle)
+        built = ranges[-1][1]
+        del ranges[:]
+        second = replace(first, steps=20_000, seed=4)
+        trace = q_learning_run(stay_go, second, stay_go_oracle)
+        assert ranges and ranges[0][0] == built
+        assert [i for start, stop in ranges for i in range(start, stop)] == list(
+            range(built, ranges[-1][1]))
+        fresh = replace(second, schedule=LearningRateSchedule.harmonic(0.7))
+        assert trace_bits(trace) == trace_bits(q_learning_run(stay_go, fresh, stay_go_oracle))
+        assert trace_bits(trace) == trace_bits(
+            reference_q_learning_run(stay_go, second, stay_go_oracle))
+        del ranges[:]
+        q_learning_run(stay_go, first, stay_go_oracle)
+        assert ranges == []
+
+    @pytest.mark.parametrize("schedule, formula", [
+        (LearningRateSchedule.harmonic(0.7), lambda i: i ** -0.7),
+        (LearningRateSchedule.constant(0.3), lambda i: 0.3),
+        (LearningRateSchedule.from_table([0.9, 0.5, 0.3]),
+         lambda i: (0.9, 0.5, 0.3)[min(i, 3) - 1]),
+    ])
+    def test_runs_in_threads_share_one_table(self, stay_go, stay_go_oracle, schedule, formula):
+        # the four runs start together and grow the table every 250 steps;
+        # a growth that read a stale length would misplace every later rate
+        configs = [QLearnConfig(schedule=schedule, steps=12_000, seed=seed, epsilon=0.2,
+                                checkpoint_every=250) for seed in range(4)]
+        expected = [trace_bits(q_learning_run(
+            stay_go, replace(c, schedule=replace(schedule)), stay_go_oracle)) for c in configs]
+        assert "_rates" not in vars(schedule)
+        barrier, results = threading.Barrier(4), [None] * 4
+
+        def run(k):
+            barrier.wait()
+            results[k] = trace_bits(q_learning_run(stay_go, configs[k], stay_go_oracle))
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            workers = [threading.Thread(target=run, args=(k,)) for k in range(4)]
+            for worker in workers:
+                worker.start()
+            for worker in workers:
+                worker.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(worker.is_alive() for worker in workers)
+        assert results == expected
+        table = vars(schedule)["_rates"]
+        assert table[0] == 0.0 and len(table) > max(t["visits"][0][0] for t in results)
+        assert [r.hex() for r in table[1:]] == [formula(i).hex() for i in range(1, len(table))]
+
+    def test_the_table_is_not_part_of_the_value(self, stay_go, stay_go_oracle):
+        schedule = LearningRateSchedule.harmonic(0.7)
+        before = (repr(schedule), hash(schedule), len(pickle.dumps(schedule)))
+        config = QLearnConfig(schedule=schedule, steps=3000, seed=1)
+        q_learning_run(stay_go, config, stay_go_oracle)
+        assert len(vars(schedule)["_rates"]) > 1
+        assert (repr(schedule), hash(schedule), len(pickle.dumps(schedule))) == before
+        assert schedule == LearningRateSchedule.harmonic(0.7)
+        copy = pickle.loads(pickle.dumps(schedule))
+        assert copy == schedule and "_rates" not in vars(copy)
+
+    def test_signed_zero_rates_stay_apart(self, stay_go, stay_go_oracle):
+        # constant(0.0) == constant(-0.0), but from q_init -0.0 an update adds
+        # beta * (target - q), and only a -0.0 rate keeps the entry at -0.0
+        bits = []
+        for c in (0.0, -0.0, 0.0):
+            config = QLearnConfig(schedule=LearningRateSchedule.constant(c), steps=2000,
+                                  seed=2, q_init=-0.0)
+            trace = q_learning_run(stay_go, config, stay_go_oracle)
+            assert trace_bits(trace) == trace_bits(
+                reference_q_learning_run(stay_go, config, stay_go_oracle))
+            bits.append(trace_bits(trace)["q_final"])
+        assert bits[0] != bits[1] and bits[0] == bits[2]
 
 
 class TestCheckpoint:
