@@ -157,34 +157,43 @@ class Policy:
     """Deterministic (state -> action) or stochastic (state -> simplex row).
 
     ``actions`` holds action indices for deterministic policies; ``probs`` is
-    an (S, A) row-stochastic matrix for stochastic ones.
+    an (S, A) row-stochastic matrix for stochastic ones; each is checked here.
     """
 
     kind: str
     actions: np.ndarray = None
     probs: np.ndarray = None
 
+    def __post_init__(self):
+        if self.kind == "deterministic" and self.probs is None:
+            arr = frozen_array(self.actions, "policy actions", np.int64)
+            if arr.ndim != 1:
+                raise ValidationError("deterministic policy needs a 1-D integer array")
+            if arr.size and arr.min() < 0:
+                raise ValidationError("action indices must be nonnegative")
+            object.__setattr__(self, "actions", arr)
+        elif self.kind == "stochastic" and self.actions is None:
+            arr = frozen_array(self.probs, "policy probabilities")
+            if arr.ndim != 2:
+                raise ValidationError("stochastic policy needs an (S, A) matrix")
+            if not np.all(np.isfinite(arr)):
+                raise ValidationError("policy probabilities must be finite")
+            if arr.min() < 0.0 or arr.max() > 1.0:
+                raise ValidationError("policy probabilities must lie in [0, 1]")
+            if np.abs(arr.sum(axis=1) - 1.0).max() > ROW_SUM_TOL:
+                raise ValidationError("policy rows must sum to 1 within 1e-9")
+            object.__setattr__(self, "probs", arr)
+        else:
+            raise ValidationError(f"a policy is 'deterministic' with actions only or "
+                                  f"'stochastic' with probs only, got kind {self.kind!r}")
+
     @classmethod
     def deterministic(cls, action_indices):
-        arr = frozen_array(action_indices, "policy actions", np.int64)
-        if arr.ndim != 1:
-            raise ValidationError("deterministic policy needs a 1-D integer array")
-        if arr.size and arr.min() < 0:
-            raise ValidationError("action indices must be nonnegative")
-        return cls("deterministic", actions=arr)
+        return cls("deterministic", actions=action_indices)
 
     @classmethod
     def stochastic(cls, probs):
-        arr = frozen_array(probs, "policy probabilities")
-        if arr.ndim != 2:
-            raise ValidationError("stochastic policy needs an (S, A) matrix")
-        if not np.all(np.isfinite(arr)):
-            raise ValidationError("policy probabilities must be finite")
-        if arr.min() < 0.0 or arr.max() > 1.0:
-            raise ValidationError("policy probabilities must lie in [0, 1]")
-        if np.abs(arr.sum(axis=1) - 1.0).max() > ROW_SUM_TOL:
-            raise ValidationError("policy rows must sum to 1 within 1e-9")
-        return cls("stochastic", probs=arr)
+        return cls("stochastic", probs=probs)
 
     def as_dict(self, mdp):
         probs = policy_probs(mdp, self)  # the policy must fit the grid
@@ -448,8 +457,15 @@ def policy_probs(mdp, policy):
 
 def argmax_sets(q, tol):
     """The optimal-action sets of an (S, A) action-value array, as an (S, A)
-    bool mask: the actions within ``tol`` of their state's best value."""
-    return q >= q.max(axis=1, keepdims=True) - tol
+    bool mask: the actions within ``tol`` times the spread of the whole table
+    (max Q - min Q) of their state's best value, so a positive affine map of
+    the rewards keeps the sets.  A positive ``tol`` cuts at least 2 eps max|Q|,
+    the table's own rounding, so a large shift keeps exact ties; 0 keeps only
+    exact ties."""
+    span_tol = tol * (q.max() - q.min())
+    if tol > 0:
+        span_tol = max(span_tol, 2.0 * np.finfo(float).eps * np.abs(q).max())
+    return q >= q.max(axis=1, keepdims=True) - span_tol
 
 
 @functools.cache

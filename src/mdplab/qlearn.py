@@ -40,46 +40,57 @@ class TooFewCheckpointsError(ValidationError):
 @dataclass(frozen=True)
 class LearningRateSchedule:
     """Rule mapping the i-th visit of a (state, action) pair to a step size,
-    built by ``harmonic``, ``constant`` or ``from_table``; ``rates`` defines
-    each family's rates.  ``q_learning_run`` keeps the rates it builds on the
-    schedule for later runs, outside its value (==, hash, repr and pickle)."""
+    checked here for ``harmonic``, ``constant`` and ``from_table`` alike; ``rates``
+    defines each family's rates.  ``q_learning_run`` keeps the rates it builds on
+    the schedule for later runs, outside its value (==, hash, repr and pickle)."""
 
     family: str
     p: float = None
     c: float = None
     table: tuple = None
 
+    def __post_init__(self):
+        given = {name for name in ("p", "c", "table") if getattr(self, name) is not None}
+        if self.family == "harmonic" and given <= {"p"}:
+            p = as_number(self.p, "harmonic power", ValidationError)
+            if not np.isfinite(p):
+                raise ValidationError("p must be finite")
+            if p <= 0.0:
+                raise RateAtLeastOneError(f"harmonic power must be > 0 "
+                                          f"(p={p} gives rates >= 1 forever)")
+            object.__setattr__(self, "p", p)
+        elif self.family == "constant" and given <= {"c"}:
+            c = as_number(self.c, "constant rate", ValidationError)
+            if not np.isfinite(c) or c < 0.0:
+                raise NegativeRateError(f"constant rate must be >= 0, got {c}")
+            if c >= 1.0:
+                raise RateAtLeastOneError(f"constant rate must be < 1, got {c}")
+            object.__setattr__(self, "c", c)
+        elif self.family == "table" and given <= {"table"}:
+            if not np.iterable(self.table):
+                raise ValidationError("rate table must be a sequence; each rate must be a number")
+            values = tuple(as_number(v, "a table rate", ValidationError) for v in self.table)
+            if not values:
+                raise ValidationError("rate table must be nonempty")
+            if any(not np.isfinite(v) or v < 0.0 for v in values):
+                raise NegativeRateError("table rates must be finite and >= 0")
+            if any(v > 1.0 for v in values):
+                raise RateAtLeastOneError("table rates must be <= 1")
+            object.__setattr__(self, "table", values)
+        else:
+            raise ValidationError(f"a schedule is 'harmonic' with p, 'constant' with c or "
+                                  f"'table' with table only, got family {self.family!r}")
+
     @classmethod
     def harmonic(cls, p):
-        p = as_number(p, "harmonic power", ValidationError)
-        if not np.isfinite(p):
-            raise ValidationError("p must be finite")
-        if p <= 0.0:
-            raise RateAtLeastOneError(
-                f"harmonic power must be > 0 (p={p} gives rates >= 1 forever)"
-            )
         return cls("harmonic", p=p)
 
     @classmethod
     def constant(cls, c):
-        c = as_number(c, "constant rate", ValidationError)
-        if not np.isfinite(c) or c < 0.0:
-            raise NegativeRateError(f"constant rate must be >= 0, got {c}")
-        if c >= 1.0:
-            raise RateAtLeastOneError(f"constant rate must be < 1, got {c}")
         return cls("constant", c=c)
 
     @classmethod
     def from_table(cls, values):
-        if not np.iterable(values):
-            raise ValidationError("rate table must be a sequence; each rate must be a number")
-        values = tuple(as_number(v, "a table rate", ValidationError) for v in values)
-        if not values:
-            raise ValidationError("rate table must be nonempty")
-        if any(not np.isfinite(v) or v < 0.0 for v in values):
-            raise NegativeRateError("table rates must be finite and >= 0")
-        if any(v > 1.0 for v in values):
-            raise RateAtLeastOneError("table rates must be <= 1")
         return cls("table", table=values)
 
     def __getstate__(self):

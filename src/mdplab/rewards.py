@@ -5,7 +5,9 @@ humanity), each a full (state, action) table with a nonnegative weight and an
 optional monotone utility filter.  Composition is the weighted sum of the
 filtered tables.  Divergence between two reward definitions is measured at
 the argmax level: the fraction of states where the two induced optimal action
-sets are disjoint, which is invariant to positive affine reward changes.
+sets are disjoint.  A set holds the actions within ARGMAX_TOL times the spread
+of the whole Q* table (max - min) of their state's best value, so the
+divergence is invariant to positive affine reward changes.
 """
 
 from dataclasses import dataclass, replace
@@ -243,8 +245,8 @@ def compare_policies(dynamics, reward_a, reward_b):
     """Solve the dynamics under both reward tables and compare optimal actions.
 
     Each induced MDP is solved exactly by policy iteration, so no sweep cap
-    limits gamma; actions within 1e-7 of a state's best action value belong
-    to its argmax set.
+    limits gamma; an action within 1e-7 (max Q* - min Q*) of its state's best
+    action value belongs to its argmax set.
     """
     return _divergence(dynamics, _solve(dynamics, reward_a), _solve(dynamics, reward_b))
 

@@ -22,6 +22,7 @@ from mdplab import (
     ascent_trace,
     average_reward,
     differential_q,
+    evaluate,
     gradient_ascent,
     gradient_check,
     make_mdp,
@@ -385,6 +386,23 @@ def test_stacks_split_across_the_byte_budget(monkeypatch, states_per_stack):
     assert outcome(gradient_check, mdp, theta) == outcome(reference_gradient_check, mdp, theta)
     whole, rest = divmod(7, states_per_stack)
     assert stacks == [6 * states_per_stack] * whole + [6 * rest] * (rest > 0)
+
+
+def test_the_byte_budget_never_changes_a_bit(monkeypatch):
+    # stacking splits the systems, never their arithmetic: from one system per
+    # stack (1 KiB) to every system in one stack (64 MiB), gradient_check and
+    # a stacked evaluate give the same bytes
+    gen = np.random.default_rng(8)
+    mdps = [stay_go_mdp(0.9)] + [random_mdp(n_s, 3, 0.9, gen) for n_s in (2, 7, 19, 40)]
+    cases = [(mdp, gen.normal(0.0, 2.0, size=(mdp.n_states, mdp.n_actions)),
+              gen.dirichlet(np.ones(mdp.n_actions), size=(120, mdp.n_states))) for mdp in mdps]
+    results = set()
+    for budget in (1 << 10, 1 << 14, 1 << 17, 1 << 21, 1 << 26):
+        monkeypatch.setattr("mdplab.mdp.STACK_BYTES", budget)
+        monkeypatch.setattr(gradient, "STACK_BYTES", budget)
+        results.add(tuple((outcome(gradient_check, mdp, theta), evaluate(mdp, probs).tobytes())
+                          for mdp, theta, probs in cases))
+    assert len(results) == 1
 
 
 class TestRewardTransformations:

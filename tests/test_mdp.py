@@ -7,6 +7,7 @@ import re
 import subprocess
 import sys
 import threading
+from dataclasses import replace
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -23,6 +24,8 @@ from mdplab import (
     MissingEntryError,
     NonFiniteRewardError,
     Policy,
+    QLearnConfig,
+    RewardHierarchy,
     RewardLevel,
     RowSumError,
     SchemaError,
@@ -33,6 +36,7 @@ from mdplab import (
     ValidationError,
     ValueFunction,
     bellman_backup,
+    compare_policies,
     egoism_vs_humanity,
     evaluate,
     gradient_ascent,
@@ -42,7 +46,9 @@ from mdplab import (
     policy_iteration,
     policy_probs,
     q_from_v,
+    q_learning_run,
     random_mdp,
+    stay_go_dynamics,
     stay_go_mdp,
     step,
     sweep_weights,
@@ -377,6 +383,36 @@ class TestNumberRules:
         assert LearningRateSchedule.harmonic(np.float32(0.5)).p == 0.5
 
 
+class TestPolicyConstruction:
+    # the constructor, the two factories and dataclasses.replace share the
+    # checks in Policy.__post_init__
+    @pytest.mark.parametrize("build, match", [
+        (lambda: Policy("stochastic", probs=[[2, -1], [0.5, 0.5]]), r"must lie in \[0, 1\]"),
+        (lambda: Policy("deterministic", actions=[0, -1]), "must be nonnegative"),
+        (lambda: Policy("greedy", actions=[0, 1]), "got kind 'greedy'"),
+        (lambda: Policy("stochastic"), "policy probabilities must be a number"),
+        (lambda: Policy("deterministic", actions=[0, 1], probs=np.eye(2)),
+         "'deterministic' with actions only"),
+        (lambda: replace(Policy.deterministic([0, 1]), actions=[0, -1]), "must be nonnegative"),
+        (lambda: replace(Policy.stochastic(np.eye(2)), kind="deterministic"),
+         "got kind 'deterministic'"),
+    ], ids=["stochastic-out-of-range", "deterministic-negative", "unknown-kind",
+            "stochastic-no-probs", "both-arrays", "replace-negative", "replace-kind"])
+    def test_every_construction_is_checked(self, build, match):
+        with pytest.raises(ValidationError, match=match):
+            build()
+
+    def test_the_constructor_keeps_read_only_copies(self):
+        actions, probs = [1, 0], [[0.25, 0.75], [1, 0]]
+        for policy, field, dtype in [(Policy("deterministic", actions=actions), "actions", np.int64),
+                                     (Policy("stochastic", probs=probs), "probs", np.float64)]:
+            arr = getattr(policy, field)
+            assert arr.dtype == dtype and not arr.flags.writeable
+            assert getattr(replace(policy), field).tobytes() == arr.tobytes()
+        assert Policy.deterministic(actions).actions.tolist() == actions
+        assert Policy.stochastic(probs).probs.tolist() == probs
+
+
 class TestArgmaxSets:
     def test_zero_tolerance_keeps_exact_ties_only(self):
         q = np.array([[1.0, 1.0, np.nextafter(1.0, 0.0)], [0.0, -1.0, 0.0]])
@@ -386,6 +422,46 @@ class TestArgmaxSets:
         q = np.array([[1.0, 1.0 - 1e-8], [2.0, 0.0]])
         assert argmax_sets(q, OPTIMAL_SET_TOL).tolist() == [[True, False], [True, False]]
         assert argmax_sets(q, ARGMAX_TOL).tolist() == [[True, True], [True, False]]
+
+    @pytest.mark.parametrize("scale", [1.0, 1e-6, 1e-8, 1e-10])
+    def test_scaling_rewards_down_keeps_the_divergence(self, scale):
+        # the cut is relative to the spread of Q*, so small rewards do not tie every action
+        dynamics = stay_go_dynamics(0.9)
+        ra = np.random.default_rng(0).normal(size=(2, 2))
+        assert compare_policies(dynamics, ra, -scale * ra).divergence == 0.5
+
+    def test_a_large_shift_keeps_exact_ties(self):
+        # the best reward is 1 in every state, so V* is constant and both
+        # actions of s1 tie exactly; at Q near 1e10 the solve's roundoff is
+        # above 1e-7 of the spread, and only the cut's rounding floor keeps the tie
+        dynamics = random_mdp(3, 2, 0.9, np.random.default_rng(20))
+        table = np.array([[0.0, 1.0], [1.0, 1.0], [1.0, 0.0]])
+        for shift in (0.0, 1e9):
+            q = policy_iteration(with_rewards(dynamics, table + shift)).q_star.values
+            assert argmax_sets(q, ARGMAX_TOL).tolist() == [[False, True], [True, True],
+                                                           [True, False]]
+
+    @settings(max_examples=40, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), k=st.integers(-200, 200))
+    def test_power_of_two_scalings_keep_every_set(self, seed, k):
+        # a power-of-two scale moves only the exponents of every Q entry, so
+        # divergence, a sweep and a Q-learning checkpoint see the same sets
+        gen = np.random.default_rng(seed)
+        n_s, n_a = int(gen.integers(2, 5)), int(gen.integers(2, 4))
+        dynamics = random_mdp(n_s, n_a, 0.9, gen)
+        a, b = gen.integers(0, 3, size=(2, n_s, n_a)).astype(float)  # small, often tied
+        config = QLearnConfig(schedule=LearningRateSchedule.harmonic(0.7), steps=400,
+                              seed=seed, checkpoint_every=100)
+
+        def sets(scale):
+            level_a, level_b = RewardLevel("a", a * scale, 1.0), RewardLevel("b", b * scale, 0.0)
+            mdp = with_rewards(dynamics, a * scale)
+            trace = q_learning_run(mdp, config, policy_iteration(mdp))
+            return (compare_policies(dynamics, a * scale, b * scale).as_dict(),
+                    sweep_weights(dynamics, RewardHierarchy((level_a, level_b)), 1, [0.5, 1.0, 3.0]),
+                    [cp.greedy_match.tolist() for cp in trace.checkpoints])
+
+        assert sets(np.ldexp(1.0, k)) == sets(1.0)
 
 
 class TestSolveSystem:

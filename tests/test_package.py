@@ -132,6 +132,25 @@ def test_one_segment_loop_in_q_learning_run():
                             for alias in node.names}
 
 
+def test_one_construction_rule_in_post_init():
+    # every input type checks itself in __post_init__, so the constructor,
+    # dataclasses.replace and each factory share one checked path: a
+    # factory holds no raise, and its body is one cls(...) call
+    factories = {}
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.FunctionDef) and "classmethod" in [
+                    getattr(d, "id", None) for d in node.decorator_list]:
+                factories[node.name] = node
+    assert {"deterministic", "stochastic", "harmonic", "constant", "from_table"} <= set(factories)
+    assert [name for name, node in factories.items()
+            if any(isinstance(inner, ast.Raise) for inner in ast.walk(node))] == []
+    assert [name for name, node in factories.items()
+            if not (len(node.body) == 1 and isinstance(node.body[0], ast.Return)
+                    and isinstance(node.body[0].value, ast.Call)
+                    and getattr(node.body[0].value.func, "id", None) == "cls")] == []
+
+
 def test_core_modules_import_only_from_mdp():
     # gradient, Q-learning and the solvers share their numeric rules through
     # mdp.py alone

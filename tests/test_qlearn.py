@@ -70,6 +70,43 @@ class TestScheduleValidation:
         with pytest.raises(ValidationError):
             LearningRateSchedule.from_table([])
 
+    # the constructor, the three factories and dataclasses.replace share the
+    # checks in LearningRateSchedule.__post_init__
+    @pytest.mark.parametrize("build, error, match", [
+        (lambda: LearningRateSchedule("constant", c=2.0), RateAtLeastOneError, "must be < 1"),
+        (lambda: LearningRateSchedule("harmonic", p=-1.0), RateAtLeastOneError, "must be > 0"),
+        (lambda: LearningRateSchedule("cosine", p=1.0), ValidationError, "got family 'cosine'"),
+        (lambda: LearningRateSchedule("table", table=[0.5, -0.1]), NegativeRateError, ">= 0"),
+        (lambda: LearningRateSchedule("harmonic"), ValidationError, "must be a number"),
+        (lambda: LearningRateSchedule("constant", c=0.5, p=1.0), ValidationError,
+         "'constant' with c"),
+        (lambda: replace(LearningRateSchedule.harmonic(0.7), p=-1.0), RateAtLeastOneError,
+         "must be > 0"),
+        (lambda: replace(LearningRateSchedule.constant(0.5), family="harmonic"), ValidationError,
+         "got family 'harmonic'"),
+    ], ids=["constant-two", "harmonic-negative", "unknown-family", "table-negative",
+            "harmonic-no-p", "stray-field", "replace-negative", "replace-family"])
+    def test_every_construction_is_checked(self, build, error, match):
+        with pytest.raises(error, match=match):
+            build()
+
+    @pytest.mark.parametrize("schedule, built", [
+        (LearningRateSchedule.harmonic(1), LearningRateSchedule("harmonic", p=np.int64(1))),
+        (LearningRateSchedule.constant(np.float32(0.25)), LearningRateSchedule("constant", c=0.25)),
+        (LearningRateSchedule.from_table([1, 0.5]),
+         LearningRateSchedule("table", table=np.array([1.0, 0.5]))),
+    ])
+    def test_the_constructor_normalizes_as_the_factories_do(
+            self, stay_go, stay_go_oracle, schedule, built):
+        assert built == schedule and hash(built) == hash(schedule)
+        assert [type(v) for v in (built.p, built.c)] == [type(v) for v in (schedule.p, schedule.c)]
+        config = QLearnConfig(schedule=schedule, steps=3000, seed=2, checkpoint_every=500)
+        expected = trace_bits(q_learning_run(stay_go, config, stay_go_oracle))
+        for same in (built, replace(schedule)):
+            assert same == schedule
+            assert trace_bits(q_learning_run(
+                stay_go, replace(config, schedule=same), stay_go_oracle)) == expected
+
 
 def rates_match(schedule, start, stop, formula):
     """``schedule.rates`` gives the bits of ``formula(i)`` for each index."""
