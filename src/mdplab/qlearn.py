@@ -250,9 +250,11 @@ def q_learning_run(mdp, config, oracle):
 
     Every step consumes four uniforms from a PCG64 stream seeded with
     config.seed: restart draw, exploration coin, exploration action, and
-    transition draw (inverse CDF, ``successor_cdf``).  Behavior is
-    epsilon-greedy over the current table with ties to the lowest action
-    index; the update bootstraps on the sampled successor either way.  The
+    transition draw (inverse CDF, ``successor_cdf``).  When no running sum of
+    ``successor_cdf`` lies in (0, 1), every row has one successor: the
+    transition uniform is drawn but not read, and the successor is looked up.
+    Behavior is epsilon-greedy over the current table with ties to the lowest
+    action index; the update bootstraps on the sampled successor either way.  The
     trace records the sup-norm distance to the oracle's action values every
     ``checkpoint_every`` steps.  The uniforms are drawn per segment, at most
     _CHUNK steps ending at a checkpoint or at the run's end; PCG64 fills a
@@ -264,7 +266,11 @@ def q_learning_run(mdp, config, oracle):
     if q_star.shape != (n_s, n_a):
         raise ValidationError("oracle was not computed on this MDP")
     stars = argmax_sets(q_star, OPTIMAL_SET_TOL)
-    cum = successor_cdf(mdp.transitions).tolist()
+    cdf = successor_cdf(mdp.transitions)
+    # with no running sum strictly inside (0, 1), the search index of every
+    # uniform in [0, 1) is the row's count of zero sums: a fixed successor
+    fixed = not ((cdf > 0.0) & (cdf < 1.0)).any()
+    cum = ((cdf <= 0.0).sum(axis=-1) if fixed else cdf).tolist()
     rewards = mdp.rewards.tolist()
     gamma = mdp.gamma
     eps = config.epsilon
@@ -292,7 +298,7 @@ def q_learning_run(mdp, config, oracle):
     # One pass per segment, its (seg, 4) uniforms turned into flat per-step
     # lists with the same multiply and truncation as int(u * n): the restart
     # state (uniform mode only), the exploration action or -1 when the coin
-    # says greedy, and the transition draw.
+    # says greedy, and the transition draw (unread when successors are fixed).
     while t < steps:
         seg = min(steps - t, every - t % every, _CHUNK)
         t += seg
@@ -305,13 +311,13 @@ def q_learning_run(mdp, config, oracle):
             with _RATES_LOCK:  # another thread may have grown it meanwhile
                 if need > len(rates):
                     rates += schedule.rates(len(rates), need)
-        for s0, a, u3 in zip(acting, explore, u[:, 3].tolist()):
+        for s0, a, u3 in zip(acting, explore, repeat(None) if fixed else u[:, 3].tolist()):
             if uniform_mode:
                 s = s0
             row = q[s]
             if a < 0:  # greedy: the first maximum, the lowest tied index
                 a = top[s]
-            nxt = bisect_right(cum[s][a], u3)
+            nxt = cum[s][a] if fixed else bisect_right(cum[s][a], u3)
             counts = visits[s]
             i = counts[a] + 1
             counts[a] = i

@@ -211,11 +211,15 @@ def verify_deterministic_optimality(mdp, trials, rng, slack=DOMINANCE_SLACK):
 
     Samples ``trials`` stochastic policies with rows drawn from a flat
     Dirichlet (full support on the simplex), evaluates each exactly, and
-    records every state where a sampled policy exceeds V* + slack.
+    records every state where a sampled policy exceeds V* + slack (a finite
+    number >= 0, else ValidationError).
     """
     trials = as_integer(trials, "trials")
     if trials < 1:
         raise ValidationError("trials must be >= 1")
+    slack = as_number(slack, "slack", ValidationError)
+    if not 0.0 <= slack < math.inf:
+        raise ValidationError(f"slack must be finite and >= 0, got {slack}")
     solution = policy_iteration(mdp)
     v_star = solution.v_star.values
     values = evaluate(mdp, rng.dirichlet(np.ones(mdp.n_actions), size=(trials, mdp.n_states)))

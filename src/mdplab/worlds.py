@@ -2,7 +2,7 @@
 
 import numpy as np
 
-from .mdp import as_integer, make_mdp, with_rewards
+from .mdp import ValidationError, as_integer, make_mdp, with_rewards
 from .rewards import RewardHierarchy, RewardLevel
 
 
@@ -64,6 +64,9 @@ def random_mdp(n_states, n_actions, gamma, rng):
     irreducible chain.
     """
     n_states, n_actions = as_integer(n_states, "n_states"), as_integer(n_actions, "n_actions")
+    for name, n in (("n_states", n_states), ("n_actions", n_actions)):
+        if n < 1:
+            raise ValidationError(f"{name} must be >= 1, got {n}")
     transitions = rng.dirichlet(np.ones(n_states), size=(n_states, n_actions))
     rewards = rng.uniform(-1.0, 1.0, size=(n_states, n_actions))
     states = tuple(f"s{i}" for i in range(n_states))

@@ -578,6 +578,13 @@ def test_random_mdp_counts_must_be_integers(counts):
         random_mdp(*counts, 0.9, np.random.default_rng(0))
 
 
+@pytest.mark.parametrize("counts, name", [((-1, 2), "n_states"), ((0, 2), "n_states"),
+                                          ((2, 0), "n_actions"), ((3, -4), "n_actions")])
+def test_random_mdp_counts_must_be_positive(counts, name):
+    with pytest.raises(ValidationError, match=f"{name} must be >= 1"):
+        random_mdp(*counts, 0.9, np.random.default_rng(0))
+
+
 def test_random_mdp_takes_numpy_integer_counts():
     made = [random_mdp(n_s, n_a, 0.9, np.random.default_rng(1))
             for n_s, n_a in ((np.int64(4), np.int32(3)), (4, 3))]

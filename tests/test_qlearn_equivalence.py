@@ -1,9 +1,13 @@
 """The library Q-learning loop reproduces the scalar reference loop bit for bit."""
 
+from bisect import bisect_right
+
 import numpy as np
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import mdplab.qlearn
 from mdplab import (
     LearningRateSchedule,
     QLearnConfig,
@@ -11,6 +15,7 @@ from mdplab import (
     policy_iteration,
     q_learning_run,
 )
+from mdplab.mdp import successor_cdf
 from qlearn_reference import reference_q_learning_run, trace_bits
 
 schedules = st.one_of(
@@ -149,3 +154,110 @@ def test_draw_above_a_row_total_below_one_lands_on_the_last_state(monkeypatch):
     trace = q_learning_run(mdp, config, oracle)
     assert trace.visits.tolist() == [[1], [4]]
     assert trace_bits(trace) == trace_bits(reference_q_learning_run(mdp, config, oracle))
+
+
+@st.composite
+def one_successor_runs(draw):
+    """Runs whose every transition row puts all its mass on one successor,
+    S from 1, under both start modes and an epsilon of 0 or 1."""
+    n_s = draw(st.integers(1, 6))
+    n_a = draw(st.integers(1, 4))
+    successors = draw(st.lists(st.integers(0, n_s - 1), min_size=n_s * n_a,
+                               max_size=n_s * n_a))
+    t = np.eye(n_s)[successors].reshape(n_s, n_a, n_s)
+    gen = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    mdp = make_mdp(tuple(f"s{i}" for i in range(n_s)), tuple(f"a{j}" for j in range(n_a)),
+                   draw(st.floats(0.0, 0.95)), t, gen.uniform(-1.0, 1.0, size=(n_s, n_a)))
+    steps = draw(st.integers(1, 3000))
+    config = QLearnConfig(
+        schedule=draw(schedules),
+        steps=steps,
+        seed=draw(st.integers(0, 2**63 - 1)),
+        epsilon=draw(st.sampled_from([0.0, 1.0])),
+        checkpoint_every=draw(st.integers(1, steps + 5)),
+        q_init=draw(st.floats(-5.0, 5.0)),
+        start=draw(st.one_of(st.just("uniform"), st.sampled_from(mdp.states))),
+    )
+    return mdp, config
+
+
+@settings(max_examples=100, deadline=None)
+@given(one_successor_runs())
+def test_library_loop_matches_reference_on_one_successor_dynamics(run):
+    mdp, config = run
+    oracle = policy_iteration(mdp)
+    expected = reference_q_learning_run(mdp, config, oracle)
+    assert trace_bits(q_learning_run(mdp, config, oracle)) == trace_bits(expected)
+
+
+def _cycle(n_s=3):
+    """Deterministic dynamics on n_s states: a0 stays, a1 moves one state on."""
+    t = np.zeros((n_s, 2, n_s))
+    for s in range(n_s):
+        t[s, 0, s] = t[s, 1, (s + 1) % n_s] = 1.0
+    return t
+
+
+def _near_one_successor(case):
+    t = _cycle()
+    if case == "second-mass-1e-12":
+        t[1, 1, 0] = 1e-12
+    elif case == "short-mass-on-a-middle-state":
+        t[0, 1, 1] = 1.0 - 1e-10
+    else:  # the short mass on the last state, whose running sum is dropped
+        t[1, 1, 2] = 1.0 - 1e-10
+    return t
+
+
+@pytest.mark.parametrize("case", ["second-mass-1e-12", "short-mass-on-a-middle-state",
+                                  "short-mass-on-the-last-state"])
+@pytest.mark.parametrize("start", ["uniform", "s0"])
+def test_library_loop_matches_reference_near_one_successor(case, start):
+    mdp = make_mdp(("s0", "s1", "s2"), ("a0", "a1"), 0.9, _near_one_successor(case),
+                   np.arange(6.0).reshape(3, 2))
+    oracle = policy_iteration(mdp)
+    for seed in range(3):
+        config = QLearnConfig(schedule=LearningRateSchedule.harmonic(0.8), steps=2000,
+                              seed=seed, epsilon=0.5, checkpoint_every=250, start=start)
+        expected = reference_q_learning_run(mdp, config, oracle)
+        assert trace_bits(q_learning_run(mdp, config, oracle)) == trace_bits(expected)
+
+
+def test_top_draws_on_a_one_successor_world(monkeypatch):
+    mdp = make_mdp(("s0", "s1", "s2"), ("a0", "a1"), 0.5, _cycle(),
+                   np.array([[1.0, 0.0], [-1.0, 2.0], [0.5, 0.0]]))
+    oracle = policy_iteration(mdp)
+    monkeypatch.setattr(np.random, "default_rng", _TopDraws)
+    for epsilon in (0.0, 1.0):
+        for start in ("uniform", "s0"):
+            config = QLearnConfig(schedule=LearningRateSchedule.harmonic(1.0), steps=7,
+                                  epsilon=epsilon, checkpoint_every=1, start=start)
+            expected = reference_q_learning_run(mdp, config, oracle)
+            assert trace_bits(q_learning_run(mdp, config, oracle)) == trace_bits(expected)
+
+
+@pytest.mark.parametrize("t, searched", [
+    (_cycle(), False),
+    (_cycle(1), False),
+    (_near_one_successor("short-mass-on-the-last-state"), False),
+    (_near_one_successor("second-mass-1e-12"), True),
+    (_near_one_successor("short-mass-on-a-middle-state"), True),
+    (np.full((3, 2, 3), 1 / 3), True),
+], ids=["cycle", "one-state", "short-last-state", "second-mass", "short-middle-state", "dense"])
+def test_transition_search_runs_only_when_a_running_sum_lies_inside_0_1(monkeypatch, t, searched):
+    n_s = t.shape[0]
+    mdp = make_mdp(tuple(f"s{i}" for i in range(n_s)), ("a0", "a1"), 0.9, t,
+                   np.ones((n_s, 2)))
+    cdf = successor_cdf(mdp.transitions)
+    assert ((cdf > 0.0) & (cdf < 1.0)).any() == searched
+    calls = []
+
+    def counted(row, u):
+        calls.append(u)
+        return bisect_right(row, u)
+
+    monkeypatch.setattr(mdplab.qlearn, "bisect_right", counted)
+    config = QLearnConfig(schedule=LearningRateSchedule.harmonic(1.0), steps=100,
+                          checkpoint_every=10)
+    q_learning_run(mdp, config, policy_iteration(mdp))
+    assert len(calls) == (100 if searched else 0)

@@ -263,6 +263,24 @@ class TestVerifyDeterministicOptimality:
         with pytest.raises(ValidationError):
             verify_deterministic_optimality(stay_go, 0, rng)
 
+    @pytest.mark.parametrize("slack, match", [
+        (float("nan"), "slack must be finite and >= 0"),
+        (float("inf"), "slack must be finite and >= 0"),
+        (-1e-7, "slack must be finite and >= 0"),
+        ("x", "slack must be a number"),
+        (None, "slack must be a number"),
+        (True, "slack must be a number"),
+    ])
+    def test_slack_must_be_a_finite_nonnegative_number(self, stay_go, rng, slack, match):
+        with pytest.raises(ValidationError, match=match):
+            verify_deterministic_optimality(stay_go, 5, rng, slack=slack)
+
+    def test_a_given_slack_keeps_the_default_report(self, stay_go):
+        reports = [vars(verify_deterministic_optimality(stay_go, 50, np.random.default_rng(4),
+                                                        **kw))
+                   for kw in ({}, {"slack": 1e-7}, {"slack": np.float64(1e-7)}, {"slack": 0})]
+        assert reports[0]["passed"] and reports[1:] == [reports[0]] * 3
+
 
 class TestBellmanProperties:
     def test_contraction_on_random_pairs(self, rng):
