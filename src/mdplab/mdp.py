@@ -11,7 +11,7 @@ import ctypes
 import functools
 import json
 import threading
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -99,12 +99,11 @@ def frozen_array(value, where, dtype=float):
 
 @dataclass(frozen=True, eq=False)
 class Mdp:
-    """A validated finite discounted MDP.
-
-    ``transitions[s, a]`` is the successor distribution (``make_mdp`` checks
-    it sums to 1); ``rewards[s, a]``, the reward for action ``a`` in state
-    ``s``, is checked here as a finite (S, A) table; ``reward_bound`` is max |R|.
-    """
+    """A finite discounted MDP, checked here whether built by constructor,
+    ``make_mdp`` or ``dataclasses.replace``: distinct nonempty ``states`` and
+    ``actions`` names, ``gamma`` in [0, 1), ``transitions[s, a]`` a successor
+    distribution in [0, 1] summing to 1 within ROW_SUM_TOL, ``rewards[s, a]`` a
+    finite (S, A) table; ``reward_bound`` is max |R|."""
 
     states: tuple
     actions: tuple
@@ -114,22 +113,40 @@ class Mdp:
     reward_bound: float = field(init=False)
 
     def __post_init__(self):
-        r = frozen_array(self.rewards, "rewards")
-        if r.shape != (grid := (self.n_states, self.n_actions)):
-            raise GridMismatchError(f"rewards must have shape {grid}, got {r.shape}")
-        if not np.all(np.isfinite(r)):
-            raise NonFiniteRewardError("rewards must be finite")
-        object.__setattr__(self, "rewards", r)
-        object.__setattr__(self, "reward_bound", float(np.abs(r).max()))
+        states = _check_names(self.states, "states")
+        actions = _check_names(self.actions, "actions")
+        gamma = as_number(self.gamma, "gamma", err=GammaRangeError)
+        if not (0.0 <= gamma < 1.0):
+            raise GammaRangeError(f"gamma must satisfy 0 <= gamma < 1, got {gamma}")
+        n_s, n_a = len(states), len(actions)
+        t = frozen_array(self.transitions, "transitions")
+        if t.shape != (n_s, n_a, n_s):
+            raise GridMismatchError(f"transitions must have shape {(n_s, n_a, n_s)}, got {t.shape}")
+        if not np.all(np.isfinite(t)):
+            raise RowSumError("transition probabilities must be finite")
+        if t.min() < 0.0 or t.max() > 1.0:
+            raise RowSumError("transition probabilities must lie in [0, 1]")
+        row_err = np.abs(t.sum(axis=2) - 1.0)
+        if row_err.max() > ROW_SUM_TOL:
+            s, a = np.unravel_index(row_err.argmax(), row_err.shape)
+            raise RowSumError(f"transition row ({states[s]!r}, {actions[a]!r}) sums to "
+                              f"{float(t[s, a].sum())!r}, not 1 within {ROW_SUM_TOL}")
+        r = _reward_table(self.rewards, (n_s, n_a))
+        vars(self).update(states=states, actions=actions, gamma=gamma, transitions=t,
+                          rewards=r, reward_bound=float(np.abs(r).max()))
+
+    def _copy(self, rewards):
+        # the one unchecked copy: the checked dynamics with an (S, A) float
+        # table already valid on them, made read-only here
+        rewards.setflags(write=False)
+        copy = object.__new__(type(self))
+        vars(copy).update(vars(self), rewards=rewards, reward_bound=float(np.abs(rewards).max()))
+        return copy
 
     def scaled(self, shift):
         """Copy with every reward times 2^-shift, shift >= 0, not checked again:
         a power-of-two scale down keeps a checked table finite on its grid."""
-        rewards = np.ldexp(self.rewards, -shift)
-        rewards.setflags(write=False)
-        scaled = object.__new__(type(self))
-        vars(scaled).update(vars(self), rewards=rewards, reward_bound=float(np.abs(rewards).max()))
-        return scaled
+        return self._copy(np.ldexp(self.rewards, -shift))
 
     @property
     def n_states(self):
@@ -309,36 +326,24 @@ def table_from_dict(states, actions, doc):
     return _grid(doc, states, actions, "rewards", _reward_entry)
 
 
+def _reward_table(rewards, grid):
+    # the one reward-table check, of Mdp and with_rewards alike
+    r = frozen_array(rewards, "rewards")
+    if r.shape != grid:
+        raise GridMismatchError(f"rewards must have shape {grid}, got {r.shape}")
+    if not np.all(np.isfinite(r)):
+        raise NonFiniteRewardError("rewards must be finite")
+    return r
+
+
 def make_mdp(states, actions, gamma, transitions, rewards):
-    """Build a validated Mdp from arrays (``Mdp`` checks the reward table)."""
-    states = _check_names(states, "states")
-    actions = _check_names(actions, "actions")
-    gamma = as_number(gamma, "gamma", err=GammaRangeError)
-    if not (0.0 <= gamma < 1.0):
-        raise GammaRangeError(f"gamma must satisfy 0 <= gamma < 1, got {gamma}")
-    n_s, n_a = len(states), len(actions)
-    t = frozen_array(transitions, "transitions")
-    if t.shape != (n_s, n_a, n_s):
-        raise GridMismatchError(
-            f"transitions must have shape {(n_s, n_a, n_s)}, got {t.shape}"
-        )
-    if not np.all(np.isfinite(t)):
-        raise RowSumError("transition probabilities must be finite")
-    if t.min() < 0.0 or t.max() > 1.0:
-        raise RowSumError("transition probabilities must lie in [0, 1]")
-    row_err = np.abs(t.sum(axis=2) - 1.0)
-    if row_err.max() > ROW_SUM_TOL:
-        s, a = np.unravel_index(row_err.argmax(), row_err.shape)
-        raise RowSumError(
-            f"transition row ({states[s]!r}, {actions[a]!r}) sums to "
-            f"{t[s, a].sum()!r}, not 1 within {ROW_SUM_TOL}"
-        )
-    return Mdp(states, actions, gamma, t, rewards)
+    """Build a validated Mdp from arrays; ``Mdp`` checks every field."""
+    return Mdp(states, actions, gamma, transitions, rewards)
 
 
 def with_rewards(mdp, rewards):
     """Copy of an Mdp with a new reward table: only the table is checked."""
-    return replace(mdp, rewards=rewards)
+    return mdp._copy(_reward_table(rewards, (mdp.n_states, mdp.n_actions)))
 
 
 def validate_mdp(doc, require_rewards=True):

@@ -208,6 +208,8 @@ class QLearnConfig:
             raise ValidationError("epsilon must lie in [0, 1]")
         if not np.isfinite(self.q_init):
             raise ValidationError("q_init must be finite")
+        if not isinstance(self.start, str):
+            raise ValidationError(f"start must be 'uniform' or a state name, got {self.start!r}")
 
 
 @dataclass(frozen=True, eq=False)

@@ -112,6 +112,8 @@ class RewardLevel:
         weight = as_number(self.weight, f"level {self.name!r} weight", ValidationError)
         if not np.isfinite(weight) or weight < 0.0:
             raise ValidationError(f"level {self.name!r} weight must be >= 0")
+        if self.filter is not None and not isinstance(self.filter, UtilityFilter):
+            raise ValidationError(f"level {self.name!r} filter must be a UtilityFilter or None")
         object.__setattr__(self, "table", table)
         object.__setattr__(self, "weight", weight)
 
@@ -121,7 +123,9 @@ class RewardHierarchy:
     levels: tuple
 
     def __post_init__(self):
-        levels = tuple(self.levels)
+        levels = tuple(self.levels) if np.iterable(self.levels) else (None,)
+        if not all(isinstance(level, RewardLevel) for level in levels):
+            raise ValidationError(f"levels must be an iterable of RewardLevel, got {self.levels!r}")
         if not levels:
             raise ValidationError("hierarchy needs at least one level")
         shape = levels[0].table.shape

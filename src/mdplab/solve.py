@@ -209,10 +209,10 @@ class DominanceReport:
 def verify_deterministic_optimality(mdp, trials, rng, slack=DOMINANCE_SLACK):
     """Solve for the optimal deterministic policy, then try to beat it.
 
-    Samples ``trials`` stochastic policies with rows drawn from a flat
-    Dirichlet (full support on the simplex), evaluates each exactly, and
-    records every state where a sampled policy exceeds V* + slack (a finite
-    number >= 0, else ValidationError).
+    Samples ``trials`` stochastic policies from ``rng``, a numpy.random.Generator
+    (else ValidationError), with rows drawn from a flat Dirichlet (full support
+    on the simplex), evaluates each exactly, and records every state where a
+    sampled policy exceeds V* + slack (a finite number >= 0, else ValidationError).
     """
     trials = as_integer(trials, "trials")
     if trials < 1:
@@ -220,6 +220,8 @@ def verify_deterministic_optimality(mdp, trials, rng, slack=DOMINANCE_SLACK):
     slack = as_number(slack, "slack", ValidationError)
     if not 0.0 <= slack < math.inf:
         raise ValidationError(f"slack must be finite and >= 0, got {slack}")
+    if not isinstance(rng, np.random.Generator):
+        raise ValidationError(f"rng must be a numpy.random.Generator, got {rng!r}")
     solution = policy_iteration(mdp)
     v_star = solution.v_star.values
     values = evaluate(mdp, rng.dirichlet(np.ones(mdp.n_actions), size=(trials, mdp.n_states)))

@@ -61,12 +61,14 @@ def random_mdp(n_states, n_actions, gamma, rng):
     """Dense random MDP: flat-Dirichlet transition rows, rewards uniform in [-1, 1].
 
     Dense rows give every action full support, so any policy induces an
-    irreducible chain.
+    irreducible chain.  ``rng`` is a numpy.random.Generator (else ValidationError).
     """
     n_states, n_actions = as_integer(n_states, "n_states"), as_integer(n_actions, "n_actions")
     for name, n in (("n_states", n_states), ("n_actions", n_actions)):
         if n < 1:
             raise ValidationError(f"{name} must be >= 1, got {n}")
+    if not isinstance(rng, np.random.Generator):
+        raise ValidationError(f"rng must be a numpy.random.Generator, got {rng!r}")
     transitions = rng.dirichlet(np.ones(n_states), size=(n_states, n_actions))
     rewards = rng.uniform(-1.0, 1.0, size=(n_states, n_actions))
     states = tuple(f"s{i}" for i in range(n_states))

@@ -94,6 +94,14 @@ class TestSolveCommand:
         assert run(["solve", "--mdp", path]) == 2
         assert capsys.readouterr().err.startswith("error:")
 
+    def test_row_sum_error_prints_a_plain_float(self, tmp_path, capsys):
+        doc = mdp_to_dict(stay_go_mdp())
+        doc["transitions"]["s0"]["stay"] = {"s0": 0.7, "s1": 0.7}
+        path = write_json(tmp_path, "rows.json", doc)
+        assert run(["solve", "--mdp", path]) == 2
+        assert capsys.readouterr().err == (
+            "error: transition row ('s0', 'stay') sums to 1.4, not 1 within 1e-09\n")
+
     def test_overflowing_values_exit_2(self, tmp_path):
         # V(s1) = 1.7e308 / (1 - 0.5) overflows, and a non-finite sweep change
         # never falls below the stopping threshold: the timeout catches a hang

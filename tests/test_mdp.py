@@ -228,6 +228,50 @@ class TestRewardTable:
             Mdp(stay_go.states, stay_go.actions, 0.5, stay_go.transitions, stay_go.rewards, 9.0)
 
 
+BAD_DYNAMICS = {
+    "states-empty": {"states": ()},
+    "states-duplicate": {"states": ("s0", "s0")},
+    "actions-not-names": {"actions": ("stay", 1)},
+    "gamma-one": {"gamma": 1.0},
+    "gamma-five": {"gamma": 5.0},
+    "gamma-string": {"gamma": "0.5"},
+    "transitions-shape": {"transitions": np.full((2, 2, 1), 1.0)},
+    "transitions-strings": {"transitions": [[["1", "0"]] * 2] * 2},
+    "transitions-nan": {"transitions": np.full((2, 2, 2), np.nan)},
+    "transitions-range": {"transitions": np.tile([2.0, -1.0], (2, 2, 1))},
+    "transitions-row-sum": {"transitions": np.full((2, 2, 2), 0.7)},
+}
+
+
+class TestMdpConstruction:
+    # the constructor, make_mdp and dataclasses.replace share the checks in
+    # Mdp.__post_init__
+    @pytest.mark.parametrize("change", BAD_DYNAMICS.values(), ids=BAD_DYNAMICS)
+    def test_every_path_to_an_mdp_follows_one_rule(self, stay_go, change):
+        fields = {name: getattr(stay_go, name)
+                  for name in ("states", "actions", "gamma", "transitions", "rewards")}
+        fields.update(change)
+        with pytest.raises(ValidationError) as made:
+            make_mdp(**fields)
+        for build in (lambda: Mdp(**fields), lambda: replace(stay_go, **change)):
+            with pytest.raises(type(made.value), match=re.escape(str(made.value))):
+                build()
+
+    def test_a_row_sum_error_prints_a_plain_float(self, stay_go):
+        with pytest.raises(RowSumError, match=re.escape(
+                "transition row ('s0', 'stay') sums to 1.4, not 1 within 1e-09")):
+            replace(stay_go, transitions=np.full((2, 2, 2), 0.7))
+
+    def test_the_constructor_keeps_normalized_copies(self, stay_go):
+        transitions = stay_go.transitions.astype(int).tolist()
+        mdp = Mdp(["s0", "s1"], ["stay", "go"], np.float32(0.5), transitions, [[0, 0], [1, 0]])
+        assert mdp.states == ("s0", "s1") and mdp.actions == ("stay", "go")
+        assert type(mdp.gamma) is float and mdp.gamma == 0.5
+        for arr in (mdp.transitions, mdp.rewards):
+            assert arr.dtype == float and not arr.flags.writeable
+        assert mdp_to_dict(mdp) == mdp_to_dict(stay_go) == mdp_to_dict(replace(mdp))
+
+
 class TestLabeled:
     def test_an_action_index_off_the_grid_is_rejected(self, stay_go):
         with pytest.raises(ValidationError, match="out-of-range action"):
@@ -583,6 +627,14 @@ def test_random_mdp_counts_must_be_integers(counts):
 def test_random_mdp_counts_must_be_positive(counts, name):
     with pytest.raises(ValidationError, match=f"{name} must be >= 1"):
         random_mdp(*counts, 0.9, np.random.default_rng(0))
+
+
+@pytest.mark.parametrize("rng", [None, 5, np.random.RandomState(0)], ids=["none", "int", "legacy"])
+def test_random_streams_must_be_generators(stay_go, rng):
+    for draw in (lambda: random_mdp(2, 2, 0.9, rng),
+                 lambda: verify_deterministic_optimality(stay_go, 3, rng)):
+        with pytest.raises(ValidationError, match="rng must be a numpy.random.Generator"):
+            draw()
 
 
 def test_random_mdp_takes_numpy_integer_counts():

@@ -1,8 +1,12 @@
 """Package structure: no private cross-module imports, and one definition per rule."""
 
 import ast
+import dataclasses
 import re
 from pathlib import Path
+
+import numpy as np
+import pytest
 
 import mdplab
 
@@ -159,6 +163,64 @@ def test_one_construction_rule_in_post_init():
             if not (len(node.body) == 1 and isinstance(node.body[0], ast.Return)
                     and isinstance(node.body[0].value, ast.Call)
                     and getattr(node.body[0].value.func, "id", None) == "cls")] == []
+
+
+def _valid_inputs():
+    level = mdplab.RewardLevel("a", np.eye(2), 1.0, mdplab.UtilityFilter(((0, 0), (1, 1))))
+    schedule = mdplab.LearningRateSchedule.harmonic(0.7)
+    return {
+        "Mdp": mdplab.stay_go_mdp(),
+        "Policy.deterministic": mdplab.Policy.deterministic([1, 0]),
+        "Policy.stochastic": mdplab.Policy.stochastic(np.eye(2)),
+        "ValueFunction": mdplab.ValueFunction([1.0, 2.0]),
+        "QTable": mdplab.QTable(np.eye(2)),
+        "LearningRateSchedule.harmonic": schedule,
+        "LearningRateSchedule.constant": mdplab.LearningRateSchedule.constant(0.5),
+        "LearningRateSchedule.from_table": mdplab.LearningRateSchedule.from_table([0.5]),
+        "QLearnConfig": mdplab.QLearnConfig(schedule, 100, start="s0"),
+        "UtilityFilter": level.filter,
+        "RewardLevel": level,
+        "RewardHierarchy": mdplab.RewardHierarchy((level,)),
+    }
+
+
+def test_every_input_type_has_a_valid_instance_below():
+    # the input types are the exported dataclasses that check themselves
+    exported = {obj for obj in vars(mdplab).values() if isinstance(obj, type)
+                and dataclasses.is_dataclass(obj) and hasattr(obj, "__post_init__")}
+    assert {type(valid) for valid in _valid_inputs().values()} == exported
+
+
+@pytest.mark.parametrize("label, name", [
+    (label, f.name) for label, valid in _valid_inputs().items()
+    for f in dataclasses.fields(valid) if f.init])
+def test_every_field_of_every_input_type_is_checked(label, name):
+    # a junk value in any init field is rejected where the instance is built,
+    # here by dataclasses.replace, with a ValidationError (or a subclass)
+    with pytest.raises(mdplab.ValidationError):
+        dataclasses.replace(_valid_inputs()[label], **{name: object()})
+
+
+def test_only_make_mdp_builds_an_mdp():
+    # Mdp.__post_init__ checks an MDP's dynamics: make_mdp holds the package's
+    # one Mdp(...) call, no dataclasses.replace copies an Mdp, and a new reward
+    # table or a scaled one goes through Mdp._copy, the one unchecked copy
+    mdp_fields = {f.name for f in dataclasses.fields(mdplab.Mdp)}
+    builders, copies, replaced = [], [], []
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        builders += [(path.name, owner) for owner in _owners(path, lambda node: isinstance(
+            node, ast.Call) and getattr(node.func, "id", None) == "Mdp")]
+        copies += [(path.name, owner) for owner in _owners(path, lambda node: isinstance(
+            node, ast.Attribute) and node.attr == "__new__")]
+        replaced += [(path.name, call.lineno) for call in _calls(tree, "replace")
+                     if isinstance(call.func, ast.Name)
+                     and mdp_fields & {kw.arg for kw in call.keywords}]
+    assert builders == [("mdp.py", "make_mdp")]
+    assert copies == [("mdp.py", "_copy")]
+    assert replaced == []
+    tree = ast.parse((PACKAGE / "mdp.py").read_text(encoding="utf-8"))
+    assert _calls(tree, "replace") == []
 
 
 def test_core_modules_import_only_from_mdp():

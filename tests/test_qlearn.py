@@ -276,6 +276,11 @@ class TestConfigValidation:
         with pytest.raises(ValidationError, match="is not a LearningRateSchedule"):
             QLearnConfig(schedule=schedule, steps=10)
 
+    @pytest.mark.parametrize("start", [None, 0, ("s0",)])
+    def test_start_must_be_a_string(self, start):
+        with pytest.raises(ValidationError, match="start must be 'uniform' or a state name"):
+            QLearnConfig(schedule=LearningRateSchedule.harmonic(1.0), steps=10, start=start)
+
     @pytest.mark.parametrize("seed", [0, np.int64(7), 2**70])
     def test_nonnegative_integer_seeds_are_accepted(self, seed):
         config = QLearnConfig(schedule=LearningRateSchedule.harmonic(1.0), steps=10,

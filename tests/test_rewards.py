@@ -27,6 +27,7 @@ from mdplab import (
     sweep_weights,
     table_from_dict,
 )
+from mdplab import mdp as mdp_module
 from mdplab import rewards
 
 
@@ -182,6 +183,21 @@ class TestComposeReward:
     def test_name_must_be_a_string(self):
         with pytest.raises(SchemaError):
             RewardLevel(["x"], np.zeros((2, 2)), 1.0)
+
+    def test_filter_must_be_a_utility_filter(self):
+        # bare knots are rejected where the level is built, not at composition
+        with pytest.raises(ValidationError, match="'bad' filter must be a UtilityFilter or None"):
+            RewardLevel("bad", np.zeros((2, 2)), 1.0, ((0.0, 0.0), (1.0, 1.0)))
+
+    @pytest.mark.parametrize("levels", [None, 5, "ab", [{"name": "a"}],
+                                        [RewardLevel("a", np.zeros((2, 2)), 1.0), None]])
+    def test_levels_must_be_reward_levels(self, levels):
+        with pytest.raises(ValidationError, match="levels must be an iterable of RewardLevel"):
+            RewardHierarchy(levels)
+
+    def test_levels_may_be_any_iterable(self):
+        level = RewardLevel("a", np.ones((2, 2)), 1.0)
+        assert RewardHierarchy(iter([level])).levels == (level,)
 
 
     def test_overflowing_filter_names_its_level(self):
@@ -339,14 +355,24 @@ class TestSweepWeights:
         dyn = random_mdp(8, 3, 0.9, gen)
         table_a, table_b, table_c = (gen.normal(0.0, 5.0, size=(8, 3)) for _ in range(3))
         hier = RewardHierarchy((RewardLevel("a", table_a, 1.0), RewardLevel("b", table_b, 2.0)))
-        checks, post_init = [], Mdp.__post_init__
-        monkeypatch.setattr(Mdp, "__post_init__",
-                            lambda mdp: checks.append(mdp.rewards) or post_init(mdp))
+        checks, check = [], mdp_module._reward_table
+        monkeypatch.setattr(mdp_module, "_reward_table",
+                            lambda table, grid: checks.append(table) or check(table, grid))
         compare_policies(dyn, table_a, table_c)
         assert len(checks) == 2
         checks.clear()
         sweep_weights(dyn, hier, 1, [0.0, 1.5, 3.0, 1.5])  # three distinct tables
         assert len(checks) == 3
+
+    def test_no_reward_path_checks_the_dynamics_again(self, monkeypatch):
+        dyn, hier = egoism_vs_humanity()
+        table_a, table_b = opposed_reward_pair()
+        checks, post_init = [], Mdp.__post_init__
+        monkeypatch.setattr(Mdp, "__post_init__",
+                            lambda mdp: checks.append(mdp) or post_init(mdp))
+        compare_policies(dyn, 1e9 * table_a, table_b)  # policy iteration scales one copy
+        sweep_weights(dyn, hier, 1, [0.0, 1.5, 3.0, 1.5])
+        assert checks == []
 
     def test_hierarchy_grid_must_match_the_dynamics(self):
         dyn, _ = egoism_vs_humanity()
