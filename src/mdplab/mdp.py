@@ -430,8 +430,11 @@ def step(mdp, state, action, rng):
     """Sample one transition; returns (reward, next_state).
 
     The successor is drawn by inverse CDF (``successor_cdf``), consuming
-    exactly one uniform from ``rng``.
+    exactly one uniform from ``rng``, a numpy.random.Generator (else
+    ValidationError).
     """
+    if not isinstance(rng, np.random.Generator):
+        raise ValidationError(f"rng must be a numpy.random.Generator, got {rng!r}")
     s = mdp.state_index(state)
     a = mdp.action_index(action)
     nxt = int(np.searchsorted(successor_cdf(mdp.transitions[s, a]), rng.random(), side="right"))

@@ -239,8 +239,8 @@ class ConvergenceTrace:
 def _checkpoint(step, q, best, q_star, stars):
     """Sup-norm distance to the oracle (NaN if any entry is NaN) and, per state,
     whether an action equal to the row maximum ``best[s]`` the step loop keeps
-    (the object ``max(q[s])`` returns) is in the optimal mask ``stars``."""
-    table = np.array(q)
+    is in the optimal mask ``stars``; ``q`` is flat, indexed s * A + a, or (S, A)."""
+    table = np.reshape(q, (len(best), -1))
     with np.errstate(over="ignore", invalid="ignore"):  # +-1e308 entries differ by inf
         err = np.abs(table - q_star).max()
     greedy = table == np.array(best)[:, None]
@@ -252,16 +252,18 @@ def q_learning_run(mdp, config, oracle):
 
     Every step consumes four uniforms from a PCG64 stream seeded with
     config.seed: restart draw, exploration coin, exploration action, and
-    transition draw (inverse CDF, ``successor_cdf``).  When no running sum of
-    ``successor_cdf`` lies in (0, 1), every row has one successor: the
-    transition uniform is drawn but not read, and the successor is looked up.
-    Behavior is epsilon-greedy over the current table with ties to the lowest
-    action index; the update bootstraps on the sampled successor either way.  The
-    trace records the sup-norm distance to the oracle's action values every
-    ``checkpoint_every`` steps.  The uniforms are drawn per segment, at most
-    _CHUNK steps ending at a checkpoint or at the run's end; PCG64 fills a
-    block in order, so no update depends on ``checkpoint_every``.  Rates come from
-    the schedule's kept table, grown up to _RATE_TABLE_CAP to cover each segment.
+    transition draw (inverse CDF, ``successor_cdf``); when every row has one
+    successor (no running sum in (0, 1)), the last is drawn but not read and the
+    successor is looked up.  Behavior is epsilon-greedy with ties to the lowest
+    action index; the update bootstraps on the sampled successor.  The trace
+    records the sup-norm distance to the oracle's action values every
+    ``checkpoint_every`` steps.  Uniforms are drawn per segment, at most _CHUNK
+    steps ending at a checkpoint or at the run's end, so no update depends on
+    ``checkpoint_every``; rates come from the schedule's kept table, grown up to
+    _RATE_TABLE_CAP.  The table, visit counts, rewards and successors are flat
+    lists indexed by the pair k = s * A + a.  Each state keeps the object ``max``
+    returns over its row and that entry's k; a row is rescanned only when an
+    update lowers its maximum or writes a NaN.
     """
     n_s, n_a = mdp.n_states, mdp.n_actions
     q_star = oracle.q_star.values
@@ -272,83 +274,81 @@ def q_learning_run(mdp, config, oracle):
     # with no running sum strictly inside (0, 1), the search index of every
     # uniform in [0, 1) is the row's count of zero sums: a fixed successor
     fixed = not ((cdf > 0.0) & (cdf < 1.0)).any()
-    cum = ((cdf <= 0.0).sum(axis=-1) if fixed else cdf).tolist()
-    rewards = mdp.rewards.tolist()
+    cum = ((cdf <= 0.0).sum(axis=-1).ravel() if fixed else cdf.reshape(n_s * n_a, -1)).tolist()
+    rewards = mdp.rewards.ravel().tolist()
     gamma = mdp.gamma
-    eps = config.epsilon
     schedule = config.schedule
     rates = vars(schedule).setdefault("_rates", [0.0])  # [0.0, rate(1), rate(2), ...]
     cap = _RATE_TABLE_CAP
     every = int(config.checkpoint_every)
 
-    q = [[float(config.q_init)] * n_a for _ in range(n_s)]
-    # best[s] is the object max(q[s]) returns and top[s] its index, so a step
-    # re-scans a row only when its maximum goes down or a NaN comes in
-    best = [row[0] for row in q]
-    top = [0] * n_s
-    visits = [[0] * n_a for _ in range(n_s)]
+    q = [float(config.q_init)] * (n_s * n_a)
+    best = [q[0]] * n_s
+    top = list(range(0, n_s * n_a, n_a))
+    visits = [0] * (n_s * n_a)
     uniform_mode = config.start == "uniform"
     s = 0 if uniform_mode else mdp.state_index(config.start)
-    # max |Q| is max(hi, -lo) over the running maximum and minimum
-    hi = abs(float(config.q_init))
-    lo = -hi
+    hi, lo = abs(q[0]), -abs(q[0])  # running max and min: max |Q| is max(hi, -lo)
 
     rng = np.random.default_rng(config.seed)
     checkpoints = []
     t = 0
     steps = int(config.steps)
-    # One pass per segment, its (seg, 4) uniforms turned into flat per-step
-    # lists with the same multiply and truncation as int(u * n): the restart
-    # state (uniform mode only), the exploration action or -1 when the coin
-    # says greedy, and the transition draw (unread when successors are fixed).
+    # One pass per segment turns its (seg, 4) uniforms into flat per-step lists,
+    # truncating u * n as int() does: the restart state (uniform mode only), the
+    # exploring pair index (the bare action in trajectory mode) or -1 for a
+    # greedy step, and the transition draw (unread when successors are fixed).
     while t < steps:
         seg = min(steps - t, every - t % every, _CHUNK)
         t += seg
         u = rng.random((seg, 4))
-        acting = (u[:, 0] * n_s).astype(np.int64).tolist() if uniform_mode else repeat(None)
-        explore = np.where(u[:, 1] < eps, (u[:, 2] * n_a).astype(np.int64), -1).tolist()
+        acting = (u[:, 0] * n_s).astype(np.int64) if uniform_mode else 0
+        pick = acting * n_a + (u[:, 2] * n_a).astype(np.int64)
+        explore = np.where(u[:, 1] < config.epsilon, pick, -1).tolist()
+        acting = acting.tolist() if uniform_mode else repeat(None)
         # cover every visit index this segment can reach, up to the cap
-        need = min(max(map(max, visits)) + seg + 1, cap)
+        need = min(max(visits) + seg + 1, cap)
         if need > len(rates):
             with _RATES_LOCK:  # another thread may have grown it meanwhile
                 if need > len(rates):
                     rates += schedule.rates(len(rates), need)
-        for s0, a, u3 in zip(acting, explore, repeat(None) if fixed else u[:, 3].tolist()):
+        for s0, k, u3 in zip(acting, explore, repeat(None) if fixed else u[:, 3].tolist()):
             if uniform_mode:
                 s = s0
-            row = q[s]
-            if a < 0:  # greedy: the first maximum, the lowest tied index
-                a = top[s]
-            nxt = cum[s][a] if fixed else bisect_right(cum[s][a], u3)
-            counts = visits[s]
-            i = counts[a] + 1
-            counts[a] = i
-            # below the cap the table covers every index this segment reaches
-            beta = rates[i] if i < cap else schedule.rate(i)
-            qa = row[a]
-            value = qa + beta * (rewards[s][a] + gamma * best[nxt] - qa)
-            row[a] = value
+            elif k >= 0:
+                k += s * n_a
+            if k < 0:  # greedy: the first maximum, the lowest tied index
+                k = top[s]
+            nxt = cum[k] if fixed else bisect_right(cum[k], u3)
+            i = visits[k] + 1
+            visits[k] = i
+            beta = rates[i] if i < cap else schedule.rate(i)  # the table covers i < cap
+            qa = q[k]
+            value = qa + beta * (rewards[k] + gamma * best[nxt] - qa)
+            q[k] = value
             m = best[s]
             g = top[s]
-            if value > m or (value == m and a <= g):
-                best[s], top[s] = value, a
-            elif a == g or value != value:  # the old maximum went down, or a NaN came in
-                m = max(row)
-                best[s], top[s] = m, row.index(m)
-            if value > hi:
-                hi = value
-            elif value < lo:
-                lo = value
+            if value > m or (value == m and k <= g):
+                best[s], top[s] = value, k
+                if value > hi:  # value >= m >= lo here
+                    hi = value
+            else:
+                if k == g or value != value:  # the old maximum went down, or a NaN came in
+                    base = s * n_a
+                    m = max(q[base:base + n_a])
+                    best[s], top[s] = m, q.index(m, base)
+                if value > hi:  # a finite value below a NaN maximum may pass hi
+                    hi = value
+                elif value < lo:
+                    lo = value
             s = nxt
         if t % every == 0:
             checkpoints.append(_checkpoint(t, q, best, q_star, stars))
 
-    return ConvergenceTrace(
-        checkpoints=tuple(checkpoints),
-        q_final=QTable(np.array(q)),
-        visits=np.array(visits, dtype=np.int64),
-        max_abs_q=max(hi, -lo),
-    )
+    return ConvergenceTrace(checkpoints=tuple(checkpoints),
+                            q_final=QTable(np.reshape(q, (n_s, n_a))),
+                            visits=np.array(visits, dtype=np.int64).reshape(n_s, n_a),
+                            max_abs_q=max(hi, -lo))
 
 
 @dataclass(frozen=True)

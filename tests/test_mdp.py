@@ -286,6 +286,17 @@ class TestLabeled:
             ValueFunction([1.0]).as_dict(stay_go)
 
 
+class _FixedDraw(np.random.Generator):
+    """A Generator whose every uniform is ``u``."""
+
+    def __init__(self, u):
+        super().__init__(np.random.PCG64(0))
+        self.u = u
+
+    def random(self, *args, **kwargs):
+        return self.u
+
+
 class TestStep:
     def test_deterministic_transition_ignores_seed(self, stay_go):
         for seed in range(5):
@@ -331,7 +342,12 @@ class TestStep:
         u = data.draw(st.floats(0.0, 1.0, exclude_max=True) | st.just(top)
                       | st.sampled_from(cum.tolist()).map(lambda c: min(c, top)))
         expected = min(int(np.searchsorted(cum, u, side="right")), n - 1)
-        assert step(mdp, "s0", "a", SimpleNamespace(random=lambda: u))[1] == states[expected]
+        assert step(mdp, "s0", "a", _FixedDraw(u))[1] == states[expected]
+
+    @pytest.mark.parametrize("rng", [None, np.random.RandomState(0)], ids=["None", "RandomState"])
+    def test_rng_must_be_a_generator(self, stay_go, rng):
+        with pytest.raises(ValidationError, match="rng"):
+            step(stay_go, "s0", "go", rng)
 
 
 class TestNumberRules:

@@ -55,9 +55,10 @@ def test_one_linear_solve_in_mdp_solve_system():
 
 
 def test_only_documents_and_worlds_check_transitions():
-    # make_mdp is the one check of an (S, A, S) transitions array; a solver
-    # or a reward path replaces the reward table through with_rewards and
-    # never checks the unchanged dynamics again
+    # Mdp.__post_init__ is the one check of an (S, A, S) transitions array,
+    # and only make_mdp calls it; a solver or a reward path replaces the
+    # reward table through with_rewards and never checks the unchanged
+    # dynamics again
     callers = set()
     for path in sorted(PACKAGE.glob("*.py")):
         for node in ast.parse(path.read_text(encoding="utf-8")).body:

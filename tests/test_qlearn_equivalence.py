@@ -117,19 +117,39 @@ def test_library_loop_matches_reference_on_ties_and_signed_zeros(run):
     assert trace_bits(q_learning_run(mdp, config, oracle)) == trace_bits(expected)
 
 
+def _without_errors(bits):
+    # the library carries a NaN into a checkpoint error where the reference skips it
+    bits["checkpoints"] = [[step, greedy] for step, _, greedy in bits["checkpoints"]]
+    return bits
+
+
 @settings(max_examples=300, deadline=None)
 @given(tied_runs([(1e308, -1e308, 0.0)], (0.0, 1e308, -1e308)))
 def test_library_loop_matches_reference_past_overflow(run):
     # the updates overflow to +-inf and then to NaN; the oracle is any one of
-    # the same shape, and the checkpoint errors are left out because the
-    # library carries a NaN into them where the reference skips it
+    # the same shape, and the checkpoint errors are left out
     finite, mdp, config = run
     oracle = policy_iteration(finite)
-    bits = [trace_bits(loop(mdp, config, oracle))
+    bits = [_without_errors(trace_bits(loop(mdp, config, oracle)))
             for loop in (q_learning_run, reference_q_learning_run)]
-    for b in bits:
-        b["checkpoints"] = [[step, greedy] for step, _, greedy in b["checkpoints"]]
     assert bits[0] == bits[1]
+
+
+def test_finite_value_below_a_nan_row_maximum_raises_max_abs_q():
+    # (s0, a0) takes 1e308, then its zero rate times an overflowed target
+    # writes NaN, which becomes s0's row maximum; the later 1.5e308 on
+    # (s0, a1) lies below that NaN maximum yet above every earlier |Q|
+    t = np.zeros((2, 2, 2))
+    t[0, 0, 0] = t[0, 1, 1] = t[1, :, 1] = 1.0
+    mdp = make_mdp(("s0", "s1"), ("a0", "a1"), 0.9, t, np.array([[1e308, 1.5e308], [0.0, 0.0]]))
+    # policy_iteration overflows on these rewards; any oracle of the same shape will do
+    oracle = policy_iteration(make_mdp(mdp.states, mdp.actions, 0.9, t, np.zeros((2, 2))))
+    config = QLearnConfig(schedule=LearningRateSchedule.from_table([1.0, 0.0, 1.0]), steps=20,
+                          seed=8, epsilon=1.0, checkpoint_every=1, start="s0")
+    trace = q_learning_run(mdp, config, oracle)
+    assert trace.max_abs_q == 1.5e308
+    expected = reference_q_learning_run(mdp, config, oracle)
+    assert _without_errors(trace_bits(trace)) == _without_errors(trace_bits(expected))
 
 
 class _TopDraws:
