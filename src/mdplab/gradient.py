@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .mdp import (STACK_BYTES, Policy, QTable, SingularSystemError, ValidationError,
-                  ValueOverflowError, as_integer, as_number, expectations, frozen_array,
+                  ValueOverflowError, as_count, as_number, expectations, frozen_array,
                   policy_probs, solve_system)
 
 FD_STEP = 1e-5
@@ -211,9 +211,7 @@ def ascent_trace(mdp, theta0, step_size, iters):
     step_size = as_number(step_size, "step_size", ValidationError)
     if not (np.isfinite(step_size) and step_size > 0.0):
         raise ValidationError(f"step_size must be finite and > 0, got {step_size}")
-    iters = as_integer(iters, "iters")
-    if iters < 1:
-        raise ValidationError("iters must be >= 1")
+    iters = as_count(iters, "iters")
     theta = frozen_array(theta0, "theta0")
     probs = policy_probs(mdp, softmax_policy(theta))  # each step keeps theta finite and (S, A)
     js = []

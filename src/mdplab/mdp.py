@@ -279,6 +279,13 @@ def as_integer(value, where):
     return int(value)
 
 
+def as_count(value, where):
+    """The count rule: ``as_integer``, then at least 1 (else ValidationError)."""
+    if (n := as_integer(value, where)) < 1:
+        raise ValidationError(f"{where} must be >= 1, got {n}")
+    return n
+
+
 def check_object(doc, required, optional, where, err=SchemaError):
     """Check that ``doc`` is a JSON object holding every key of ``required``
     and no key outside ``required`` and ``optional``.  A non-object raises

@@ -15,7 +15,8 @@ from itertools import repeat
 
 import numpy as np
 
-from .mdp import QTable, ValidationError, argmax_sets, as_integer, as_number, successor_cdf
+from .mdp import (QTable, ValidationError, argmax_sets, as_count, as_integer, as_number,
+                  successor_cdf)
 
 _CHUNK = 1 << 14
 # Longest table of schedule.rates a schedule keeps (about 8 MB harmonic, 2 MB
@@ -194,14 +195,10 @@ class QLearnConfig:
     def __post_init__(self):
         if not isinstance(self.schedule, LearningRateSchedule):
             raise ValidationError(f"schedule {self.schedule!r} is not a LearningRateSchedule")
-        for name in ("seed", "steps", "checkpoint_every"):
-            as_integer(getattr(self, name), name)
-        if self.seed < 0:
+        if as_integer(self.seed, "seed") < 0:
             raise ValidationError(f"seed must be >= 0, got {self.seed}")
-        if self.steps < 1:
-            raise ValidationError("steps must be >= 1")
-        if self.checkpoint_every < 1:
-            raise ValidationError("checkpoint_every must be >= 1")
+        for name in ("steps", "checkpoint_every"):
+            as_count(getattr(self, name), name)
         for name in ("epsilon", "q_init"):
             as_number(getattr(self, name), name, err=ValidationError)
         if not 0.0 <= self.epsilon <= 1.0:
@@ -238,8 +235,8 @@ class ConvergenceTrace:
 
 def _checkpoint(step, q, best, q_star, stars):
     """Sup-norm distance to the oracle (NaN if any entry is NaN) and, per state,
-    whether an action equal to the row maximum ``best[s]`` the step loop keeps
-    is in the optimal mask ``stars``; ``q`` is flat, indexed s * A + a, or (S, A)."""
+    whether an action equal to ``best[s]``, the row maximum the step loop reads
+    through its kept index, is in the optimal mask ``stars``; ``q`` is flat or (S, A)."""
     table = np.reshape(q, (len(best), -1))
     with np.errstate(over="ignore", invalid="ignore"):  # +-1e308 entries differ by inf
         err = np.abs(table - q_star).max()
@@ -261,9 +258,9 @@ def q_learning_run(mdp, config, oracle):
     steps ending at a checkpoint or at the run's end, so no update depends on
     ``checkpoint_every``; rates come from the schedule's kept table, grown up to
     _RATE_TABLE_CAP.  The table, visit counts, rewards and successors are flat
-    lists indexed by the pair k = s * A + a.  Each state keeps the object ``max``
-    returns over its row and that entry's k; a row is rescanned only when an
-    update lowers its maximum or writes a NaN.
+    lists indexed by the pair k = s * A + a.  Each state keeps the k of its row's
+    first maximum, through which the step reads the object ``max`` returns over
+    the row; a row is rescanned only when an update lowers it or writes a NaN.
     """
     n_s, n_a = mdp.n_states, mdp.n_actions
     q_star = oracle.q_star.values
@@ -283,7 +280,6 @@ def q_learning_run(mdp, config, oracle):
     every = int(config.checkpoint_every)
 
     q = [float(config.q_init)] * (n_s * n_a)
-    best = [q[0]] * n_s
     top = list(range(0, n_s * n_a, n_a))
     visits = [0] * (n_s * n_a)
     uniform_mode = config.start == "uniform"
@@ -317,33 +313,31 @@ def q_learning_run(mdp, config, oracle):
                 s = s0
             elif k >= 0:
                 k += s * n_a
+            g = top[s]
             if k < 0:  # greedy: the first maximum, the lowest tied index
-                k = top[s]
+                k = g
             nxt = cum[k] if fixed else bisect_right(cum[k], u3)
             i = visits[k] + 1
             visits[k] = i
             beta = rates[i] if i < cap else schedule.rate(i)  # the table covers i < cap
-            qa = q[k]
-            value = qa + beta * (rewards[k] + gamma * best[nxt] - qa)
+            qa, m = q[k], q[g]  # read before q[k] is written: on a greedy step k == g
+            value = qa + beta * (rewards[k] + gamma * q[top[nxt]] - qa)
             q[k] = value
-            m = best[s]
-            g = top[s]
             if value > m or (value == m and k <= g):
-                best[s], top[s] = value, k
+                top[s] = k
                 if value > hi:  # value >= m >= lo here
                     hi = value
             else:
                 if k == g or value != value:  # the old maximum went down, or a NaN came in
                     base = s * n_a
-                    m = max(q[base:base + n_a])
-                    best[s], top[s] = m, q.index(m, base)
+                    top[s] = q.index(max(q[base:base + n_a]), base)
                 if value > hi:  # a finite value below a NaN maximum may pass hi
                     hi = value
                 elif value < lo:
                     lo = value
             s = nxt
         if t % every == 0:
-            checkpoints.append(_checkpoint(t, q, best, q_star, stars))
+            checkpoints.append(_checkpoint(t, q, [q[g] for g in top], q_star, stars))
 
     return ConvergenceTrace(checkpoints=tuple(checkpoints),
                             q_final=QTable(np.reshape(q, (n_s, n_a))),

@@ -10,7 +10,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .mdp import (STACK_BYTES, Policy, QTable, ValidationError, ValueFunction,
-                  ValueOverflowError, as_integer, as_number, evaluate, frozen_array)
+                  ValueOverflowError, as_count, as_number, evaluate, frozen_array)
 
 DOMINANCE_SLACK = 1e-7
 MAX_SWEEPS = 1_000_000
@@ -214,9 +214,7 @@ def verify_deterministic_optimality(mdp, trials, rng, slack=DOMINANCE_SLACK):
     on the simplex), evaluates each exactly, and records every state where a
     sampled policy exceeds V* + slack (a finite number >= 0, else ValidationError).
     """
-    trials = as_integer(trials, "trials")
-    if trials < 1:
-        raise ValidationError("trials must be >= 1")
+    trials = as_count(trials, "trials")
     slack = as_number(slack, "slack", ValidationError)
     if not 0.0 <= slack < math.inf:
         raise ValidationError(f"slack must be finite and >= 0, got {slack}")

@@ -2,7 +2,7 @@
 
 import numpy as np
 
-from .mdp import ValidationError, as_integer, make_mdp, with_rewards
+from .mdp import ValidationError, as_count, make_mdp, with_rewards
 from .rewards import RewardHierarchy, RewardLevel
 
 
@@ -63,10 +63,7 @@ def random_mdp(n_states, n_actions, gamma, rng):
     Dense rows give every action full support, so any policy induces an
     irreducible chain.  ``rng`` is a numpy.random.Generator (else ValidationError).
     """
-    n_states, n_actions = as_integer(n_states, "n_states"), as_integer(n_actions, "n_actions")
-    for name, n in (("n_states", n_states), ("n_actions", n_actions)):
-        if n < 1:
-            raise ValidationError(f"{name} must be >= 1, got {n}")
+    n_states, n_actions = as_count(n_states, "n_states"), as_count(n_actions, "n_actions")
     if not isinstance(rng, np.random.Generator):
         raise ValidationError(f"rng must be a numpy.random.Generator, got {rng!r}")
     transitions = rng.dirichlet(np.ones(n_states), size=(n_states, n_actions))

@@ -58,7 +58,7 @@ from mdplab import (
     with_rewards,
 )
 import mdplab.mdp
-from mdplab.mdp import (ONE_THREAD_N, STACK_BYTES, argmax_sets, as_integer, as_number,
+from mdplab.mdp import (ONE_THREAD_N, STACK_BYTES, argmax_sets, as_count, as_integer, as_number,
                         expectations, solve_system)
 from mdplab.qlearn import OPTIMAL_SET_TOL
 from mdplab.rewards import ARGMAX_TOL
@@ -434,6 +434,21 @@ class TestNumberRules:
     def test_library_counts_are_never_truncated(self, call):
         with pytest.raises(ValidationError, match="must be an integer"):
             call()
+
+    @pytest.mark.parametrize("name, call", [
+        ("iters", lambda: gradient_ascent(stay_go_mdp(), np.zeros((2, 2)), 0.1, 0)),
+        ("trials", lambda: verify_deterministic_optimality(stay_go_mdp(), 0,
+                                                           np.random.default_rng(0))),
+        ("n_states", lambda: random_mdp(0, 2, 0.9, np.random.default_rng(0))),
+        ("n_actions", lambda: random_mdp(2, 0, 0.9, np.random.default_rng(0))),
+        ("steps", lambda: QLearnConfig(LearningRateSchedule.harmonic(1.0), steps=0)),
+        ("checkpoint_every", lambda: QLearnConfig(LearningRateSchedule.harmonic(1.0), steps=10,
+                                                  checkpoint_every=0)),
+    ])
+    def test_library_counts_follow_the_count_rule(self, name, call):
+        with pytest.raises(ValidationError, match=f"^{name} must be >= 1, got 0$"):
+            call()
+        assert as_count(np.int64(3), "x") == 3 and type(as_count(np.int64(3), "x")) is int
 
     def test_library_takes_numpy_scalars(self, stay_go):
         _, js = gradient_ascent(stay_go, np.zeros((2, 2)), 0.1, np.int64(3))
