@@ -12,6 +12,7 @@ import threading
 from bisect import bisect_right
 from dataclasses import dataclass
 from itertools import repeat
+from math import inf
 
 import numpy as np
 
@@ -260,7 +261,9 @@ def q_learning_run(mdp, config, oracle):
     _RATE_TABLE_CAP.  The table, visit counts, rewards and successors are flat
     lists indexed by the pair k = s * A + a.  Each state keeps the k of its row's
     first maximum, through which the step reads the object ``max`` returns over
-    the row; a row is rescanned only when an update lowers it or writes a NaN.
+    the row, and a runner-up bound on the row's other non-NaN entries; a row is
+    rescanned only when an update lowers its maximum to the bound or below, or
+    writes a NaN.
     """
     n_s, n_a = mdp.n_states, mdp.n_actions
     q_star = oracle.q_star.values
@@ -281,6 +284,7 @@ def q_learning_run(mdp, config, oracle):
 
     q = [float(config.q_init)] * (n_s * n_a)
     top = list(range(0, n_s * n_a, n_a))
+    second = [q[0]] * n_s  # bounds every non-NaN entry of row s but its top
     visits = [0] * (n_s * n_a)
     uniform_mode = config.start == "uniform"
     s = 0 if uniform_mode else mdp.state_index(config.start)
@@ -324,13 +328,20 @@ def q_learning_run(mdp, config, oracle):
             value = qa + beta * (rewards[k] + gamma * q[top[nxt]] - qa)
             q[k] = value
             if value > m or (value == m and k <= g):
-                top[s] = k
+                if k != g:  # a new leader: the old maximum bounds the rest
+                    top[s], second[s] = k, m
                 if value > hi:  # value >= m >= lo here
                     hi = value
             else:
-                if k == g or value != value:  # the old maximum went down, or a NaN came in
+                if value > second[s]:  # a lowered maximum above the bound still leads
+                    if k != g:
+                        second[s] = value
+                elif k == g or value != value:  # the maximum fell to the bound, or a NaN came in
                     base = s * n_a
-                    top[s] = q.index(max(q[base:base + n_a]), base)
+                    row = q[base:base + n_a]
+                    g = top[s] = q.index(max(row), base)
+                    row[g - base] = -inf
+                    second[s] = max(row)
                 if value > hi:  # a finite value below a NaN maximum may pass hi
                     hi = value
                 elif value < lo:

@@ -139,12 +139,14 @@ def test_one_segment_loop_in_q_learning_run():
 
 def test_one_step_loop_in_q_learning_run():
     # a fixed successor is read in the one step loop by a conditional
-    # expression beside the transition search, not by a second step body
+    # expression beside the transition search, not by a second step body;
+    # a row is rescanned at one site in that loop, not at a copy per branch
     tree = ast.parse((PACKAGE / "qlearn.py").read_text(encoding="utf-8"))
     (run,) = [node for node in tree.body
               if isinstance(node, ast.FunctionDef) and node.name == "q_learning_run"]
     (loop,) = [node for node in ast.walk(run) if isinstance(node, ast.For)]
-    assert len(_calls(run, "bisect_right")) == len(_calls(loop, "bisect_right")) == 1
+    for name in ("bisect_right", "index"):
+        assert len(_calls(run, name)) == len(_calls(loop, name)) == 1
 
 
 def test_one_construction_rule_in_post_init():

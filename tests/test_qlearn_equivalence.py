@@ -1,5 +1,6 @@
 """The library Q-learning loop reproduces the scalar reference loop bit for bit."""
 
+import math
 from bisect import bisect_right
 
 import numpy as np
@@ -29,9 +30,10 @@ schedules = st.one_of(
 
 @st.composite
 def small_mdps(draw):
-    """Random MDPs with S in 2..6, A in 1..4 and some zero transition entries."""
+    """Random MDPs with S in 2..6, A in 1..8 and some zero transition entries;
+    wide rows let a row's runner-up bound go stale before its maximum drops."""
     n_s = draw(st.integers(2, 6))
-    n_a = draw(st.integers(1, 4))
+    n_a = draw(st.integers(1, 8))
     gen = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     t = gen.dirichlet(np.ones(n_s), size=(n_s, n_a))
     t[gen.random(t.shape) < draw(st.floats(0.0, 0.9))] = 0.0
@@ -74,16 +76,17 @@ def test_library_loop_matches_reference(run):
 
 @st.composite
 def tied_runs(draw, reward_sets, q_inits):
-    """Runs on small_mdps dynamics (A <= 4) whose rewards come from one of
-    ``reward_sets`` and q_init from ``q_inits``, so rows tie often and the row
-    maximum the step loop keeps meets ties, signed zeros and NaN."""
+    """Runs of up to 2000 steps on small_mdps dynamics (A <= 8) whose rewards
+    come from one of ``reward_sets`` and q_init from ``q_inits``, so rows tie
+    often and the row maximum and runner-up bound the step loop keeps meet
+    ties, signed zeros and NaN."""
     mdp = draw(small_mdps())
     n_s, n_a = mdp.n_states, mdp.n_actions
     values = draw(st.sampled_from(reward_sets))
     table = draw(st.lists(st.sampled_from(values), min_size=n_s * n_a, max_size=n_s * n_a))
     tied = make_mdp(mdp.states, mdp.actions, draw(st.sampled_from([0.0, 0.5, 0.9])),
                     mdp.transitions, np.reshape(table, (n_s, n_a)))
-    steps = draw(st.integers(1, 400))
+    steps = draw(st.integers(1, 2000))
     config = QLearnConfig(
         # rate 1 makes every update its exact target, which ties often
         schedule=draw(st.one_of(st.just(LearningRateSchedule.from_table([1.0])), schedules)),
@@ -281,3 +284,28 @@ def test_transition_search_runs_only_when_a_running_sum_lies_inside_0_1(monkeypa
                           checkpoint_every=10)
     q_learning_run(mdp, config, policy_iteration(mdp))
     assert len(calls) == (100 if searched else 0)
+
+
+def test_row_is_rescanned_only_when_its_leader_may_change(monkeypatch):
+    # greedy on one state: a0's value falls from 0 towards -10 and a1 is
+    # written once, to -10, so the lowered maximum stays above the runner-up
+    # on every step but the two where the leader changes
+    mdp = make_mdp(("s0",), ("a0", "a1"), 0.9, np.ones((1, 2, 1)), np.array([[-1.0, -10.0]]))
+    rows = []
+
+    def counted(*args):
+        # max(visits) sizes the rate table per segment (int entries), max |Q|
+        # takes two arguments, and a rescan's second call reads the row with
+        # its leader masked by -inf
+        row, *rest = args
+        if not rest and isinstance(row[0], float) and -math.inf not in row:
+            rows.append(list(row))
+        return max(*args)
+
+    monkeypatch.setattr(mdplab.qlearn, "max", counted, raising=False)
+    config = QLearnConfig(schedule=LearningRateSchedule.harmonic(1.0), steps=100,
+                          epsilon=0.0, checkpoint_every=10)
+    trace = q_learning_run(mdp, config, policy_iteration(mdp))
+    assert rows == [[-1.0, 0.0], [-1.0, -10.0]]
+    assert trace.q_final.values.tolist() == [[-4.092380634315364, -10.0]]
+    assert trace.visits.tolist() == [[99, 1]]
