@@ -10,12 +10,12 @@ Exit codes: 0 success, 1 usage error, 2 input validation or I/O error
 (including a file that is not UTF-8 or nests too deeply to parse, a string or
 boolean where a document needs a number, rewards so large for gamma that the
 exact values overflow or so large that a policy-gradient norm overflows, a
-gamma so close to 1 that solve's value iteration would need over 10**6 sweeps,
-a policy iteration that does not stabilize in 10**4 iterations, filter knots
-whose end segments have infinite slope, and a hierarchy level whose rewards
-overflow), 3 schedule fails the divergent/finite-sum conditions, 4 schedule
-indeterminate, 5 theorem-hypothesis violation (reducible chain or singular
-system).
+Q-learning run whose values overflow, a gamma so close to 1 that solve's value
+iteration would need over 10**6 sweeps, a policy iteration that does not
+stabilize in 10**4 iterations, filter knots whose end segments have infinite
+slope, and a hierarchy level whose rewards overflow), 3 schedule fails the
+divergent/finite-sum conditions, 4 schedule indeterminate, 5 theorem-hypothesis
+violation (reducible chain or singular system).
 """
 
 import argparse

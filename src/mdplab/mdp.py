@@ -541,5 +541,9 @@ def evaluate(mdp, probs):
 
 
 def policy_evaluate(mdp, policy):
-    """Unique fixed point of V = R_pi + gamma P_pi V, by a direct linear solve."""
-    return ValueFunction(evaluate(mdp, policy_probs(mdp, policy)))
+    """Unique fixed point of V = R_pi + gamma P_pi V, by a direct linear solve;
+    ValueOverflowError when V leaves the float range."""
+    v = evaluate(mdp, policy_probs(mdp, policy))
+    if not np.isfinite(v).all():
+        raise ValueOverflowError(f"values overflow; rewards are too large for gamma {mdp.gamma}")
+    return ValueFunction(v)

@@ -16,8 +16,8 @@ from math import inf
 
 import numpy as np
 
-from .mdp import (QTable, ValidationError, argmax_sets, as_count, as_integer, as_number,
-                  successor_cdf)
+from .mdp import (QTable, ValidationError, ValueOverflowError, argmax_sets, as_count,
+                  as_integer, as_number, successor_cdf)
 
 _CHUNK = 1 << 14
 # Longest table of schedule.rates a schedule keeps (about 8 MB harmonic, 2 MB
@@ -234,14 +234,13 @@ class ConvergenceTrace:
     max_abs_q: float
 
 
-def _checkpoint(step, q, best, q_star, stars):
-    """Sup-norm distance to the oracle (NaN if any entry is NaN) and, per state,
-    whether an action equal to ``best[s]``, the row maximum the step loop reads
-    through its kept index, is in the optimal mask ``stars``; ``q`` is flat or (S, A)."""
-    table = np.reshape(q, (len(best), -1))
+def _checkpoint(step, q, q_star, stars):
+    """Sup-norm distance to the oracle (NaN if any entry is NaN) and, per state, whether an
+    action equal to its row's maximum is in the optimal mask ``stars``; ``q`` is flat or (S, A)."""
+    table = np.reshape(q, q_star.shape)
     with np.errstate(over="ignore", invalid="ignore"):  # +-1e308 entries differ by inf
         err = np.abs(table - q_star).max()
-    greedy = table == np.array(best)[:, None]
+    greedy = table == table.max(axis=1, keepdims=True)
     return Checkpoint(step, float(err), (greedy & stars).any(axis=1))
 
 
@@ -260,11 +259,14 @@ def q_learning_run(mdp, config, oracle):
     ``checkpoint_every``; rates come from the schedule's kept table, grown up to
     _RATE_TABLE_CAP.  The table, visit counts, rewards and successors are flat
     lists indexed by the pair k = s * A + a.  Each state keeps the k of its row's
-    first maximum, through which the step reads the object ``max`` returns over
-    the row, and a runner-up bound on the row's other non-NaN entries; a row is
-    rescanned only when an update lowers its maximum to the bound or below, or
-    writes a NaN.
+    first maximum and a runner-up bound on the row's other entries; a row is
+    rescanned only when an update lowers its maximum to the bound or below.  A
+    run whose values leave the float range raises ValueOverflowError.
     """
+    if not isinstance(config, QLearnConfig):
+        raise ValidationError(f"config must be a QLearnConfig, got {type(config).__name__}")
+    if not isinstance(getattr(oracle, "q_star", None), QTable):
+        raise ValidationError(f"oracle must have a QTable q_star, got {type(oracle).__name__}")
     n_s, n_a = mdp.n_states, mdp.n_actions
     q_star = oracle.q_star.values
     if q_star.shape != (n_s, n_a):
@@ -284,7 +286,7 @@ def q_learning_run(mdp, config, oracle):
 
     q = [float(config.q_init)] * (n_s * n_a)
     top = list(range(0, n_s * n_a, n_a))
-    second = [q[0]] * n_s  # bounds every non-NaN entry of row s but its top
+    second = [q[0]] * n_s  # bounds every entry of row s but its top
     visits = [0] * (n_s * n_a)
     uniform_mode = config.start == "uniform"
     s = 0 if uniform_mode else mdp.state_index(config.start)
@@ -336,22 +338,23 @@ def q_learning_run(mdp, config, oracle):
                 if value > second[s]:  # a lowered maximum above the bound still leads
                     if k != g:
                         second[s] = value
-                elif k == g or value != value:  # the maximum fell to the bound, or a NaN came in
+                elif k == g:  # the maximum fell to the bound
                     base = s * n_a
                     row = q[base:base + n_a]
                     g = top[s] = q.index(max(row), base)
                     row[g - base] = -inf
                     second[s] = max(row)
-                if value > hi:  # a finite value below a NaN maximum may pass hi
-                    hi = value
-                elif value < lo:
+                if value < lo:  # value <= m <= hi here
                     lo = value
             s = nxt
         if t % every == 0:
-            checkpoints.append(_checkpoint(t, q, [q[g] for g in top], q_star, stars))
+            checkpoints.append(_checkpoint(t, q, q_star, stars))
 
-    return ConvergenceTrace(checkpoints=tuple(checkpoints),
-                            q_final=QTable(np.reshape(q, (n_s, n_a))),
+    table = np.reshape(q, (n_s, n_a))
+    if not np.isfinite(table).all():  # an overflow's inf or NaN stays in its entry
+        raise ValueOverflowError(f"Q-learning values overflow within {steps} steps; "
+                                 f"rewards or q_init are too large for gamma {gamma}")
+    return ConvergenceTrace(checkpoints=tuple(checkpoints), q_final=QTable(table),
                             visits=np.array(visits, dtype=np.int64).reshape(n_s, n_a),
                             max_abs_q=max(hi, -lo))
 

@@ -212,6 +212,22 @@ class TestQlearnCommand:
         assert proc.stderr.startswith("error: values overflow")
         assert proc.stderr.count("\n") == 1
 
+    def test_overflowing_q_learning_run_exits_2(self, tmp_path):
+        # the oracle is finite, but the learned values start at -1.5e308 and
+        # overflow: no rows, no CSV file, one error line
+        doc = mdp_to_dict(stay_go_mdp(0.9))
+        doc["rewards"] = {"s0": {"stay": -1e307, "go": 0.0}, "s1": {"stay": 1e307, "go": 0.0}}
+        path = write_json(tmp_path, "overflow.json", doc)
+        out = tmp_path / "overflow.csv"
+        proc = run_python(["-m", "mdplab", "qlearn", "--mdp", path, "--family", "constant",
+                           "--c", "0.5", "--steps", "2000", "--checkpoint-every", "500",
+                           "--q-init=-1.5e308", "--out", str(out)])
+        assert proc.returncode == 2
+        assert proc.stdout == ""
+        assert proc.stderr.startswith("error: Q-learning values overflow")
+        assert proc.stderr.count("\n") == 1
+        assert not out.exists() and not Path(f"{out}.tmp").exists()
+
     def test_oracle_with_tied_policies_exits_0(self, tmp_path, capsys):
         # equally good policies whose values differ by rounding used to
         # alternate until the policy iteration cap

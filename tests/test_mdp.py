@@ -35,6 +35,7 @@ from mdplab import (
     UtilityFilter,
     ValidationError,
     ValueFunction,
+    ValueOverflowError,
     bellman_backup,
     compare_policies,
     egoism_vs_humanity,
@@ -782,6 +783,16 @@ class TestPolicyEvaluate:
     def test_policy_must_cover_states(self, stay_go):
         with pytest.raises(ValidationError):
             policy_evaluate(stay_go, Policy.deterministic(np.array([0])))
+
+    def test_overflowing_values_raise(self):
+        # V(s1) = 1.7e308 + 0.9 * V(s0) overflows; evaluate itself returns
+        # the infinities, which the dominance check reads as a losing policy
+        mdp = with_rewards(stay_go_mdp(0.9), [[0.0, 0.0], [1.7e308, 0.0]])
+        policy = Policy.deterministic([1, 0])
+        with pytest.raises(ValueOverflowError,
+                           match="^values overflow; rewards are too large for gamma 0.9$"):
+            policy_evaluate(mdp, policy)
+        assert evaluate(mdp, policy_probs(mdp, policy)).tolist() == [np.inf] * 2
 
     def test_residual_below_contract_on_520_states(self):
         from mdplab.mdp import expectations, policy_probs

@@ -19,6 +19,7 @@ from mdplab import (
     RateAtLeastOneError,
     TooFewCheckpointsError,
     ValidationError,
+    ValueOverflowError,
     classify_schedule,
     convergence_report,
     make_mdp,
@@ -371,17 +372,29 @@ class TestQLearningRun:
         assert summary.last_decile_median_err < summary.first_decile_median_err
 
     def test_non_finite_error_is_reported(self, stay_go, stay_go_oracle):
-        # Q overflows on this MDP and policy_iteration rejects it, so the
-        # oracle is an all-NaN Q* built by hand: every difference is NaN, and
-        # a NaN must not be skipped by the max scan and reported as 0.0
-        mdp = with_rewards(stay_go, [[0.0, 0.0], [1.7e308, 0.0]])
+        # an all-NaN Q* built by hand makes every difference NaN, and a NaN
+        # must not be skipped by the max scan and reported as 0.0
         oracle = replace(stay_go_oracle, q_star=QTable(np.full((2, 2), np.nan)))
-        with np.errstate(over="ignore", invalid="ignore"):
-            config = QLearnConfig(schedule=LearningRateSchedule.harmonic(1.0),
-                                  steps=2000, seed=0, checkpoint_every=500)
-            trace = q_learning_run(mdp, config, oracle)
+        config = QLearnConfig(schedule=LearningRateSchedule.harmonic(1.0),
+                              steps=2000, seed=0, checkpoint_every=500)
+        trace = q_learning_run(stay_go, config, oracle)
         assert len(trace.checkpoints) == 4
-        assert not any(np.isfinite(cp.supnorm_error) for cp in trace.checkpoints)
+        assert all(np.isnan(cp.supnorm_error) for cp in trace.checkpoints)
+        # on rewards whose Q overflows, the run raises instead of ending
+        mdp = with_rewards(stay_go, [[0.0, 0.0], [1.7e308, 0.0]])
+        with pytest.raises(ValueOverflowError, match="^Q-learning values overflow within 2000 "):
+            q_learning_run(mdp, config, oracle)
+
+    def test_config_must_be_a_qlearn_config(self, stay_go, stay_go_oracle):
+        with pytest.raises(ValidationError, match="^config must be a QLearnConfig"):
+            q_learning_run(stay_go, None, stay_go_oracle)
+
+    @pytest.mark.parametrize("oracle", [None, "q_star"], ids=["none", "bare-qtable"])
+    def test_oracle_must_hold_a_qtable_q_star(self, stay_go, stay_go_oracle, oracle):
+        oracle = stay_go_oracle.q_star if oracle == "q_star" else oracle
+        config = QLearnConfig(schedule=LearningRateSchedule.harmonic(1.0), steps=10)
+        with pytest.raises(ValidationError, match="^oracle must have a QTable q_star"):
+            q_learning_run(stay_go, config, oracle)
 
     def test_rates_come_from_a_table(self, stay_go, stay_go_oracle, monkeypatch):
         # each visit index is rated once, when the table grows to cover it,
@@ -439,7 +452,7 @@ class TestQLearningRun:
     def test_oracle_shape_mismatch(self, stay_go, rng):
         other = policy_iteration(random_mdp(3, 2, 0.5, rng))
         config = QLearnConfig(schedule=LearningRateSchedule.harmonic(1.0), steps=10)
-        with pytest.raises(ValidationError):
+        with pytest.raises(ValidationError, match="oracle was not computed on this MDP"):
             q_learning_run(stay_go, config, other)
 
     def test_fixed_start_unknown_state(self, stay_go, stay_go_oracle):
@@ -538,22 +551,19 @@ class TestCheckpoint:
         stars = np.array([[True, False]])
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            cp = _checkpoint(7, [[1e308, 0.0]], [1e308], np.array([[-1e308, 0.0]]), stars)
+            cp = _checkpoint(7, [[1e308, 0.0]], np.array([[-1e308, 0.0]]), stars)
         assert cp.step == 7 and cp.supnorm_error == np.inf
         assert type(cp.supnorm_error) is float
 
     def test_a_nan_entry_gives_a_nan_error(self):
         stars = np.array([[True, False], [True, False]])
-        cp = _checkpoint(1, [[np.nan, 0.0], [5.0, 0.0]], [np.nan, 5.0], np.zeros((2, 2)),
-                         stars)
+        cp = _checkpoint(1, [[np.nan, 0.0], [5.0, 0.0]], np.zeros((2, 2)), stars)
         assert np.isnan(cp.supnorm_error)
 
-    def test_a_nan_row_matches_as_the_step_loop_takes_its_max(self):
-        # max([1.0, nan]) is 1.0, and max([nan, 1.0]) is nan, which equals
-        # nothing; the step loop keeps those maxima
-        stars = np.array([[True, False], [False, True]])
-        cp = _checkpoint(1, [[1.0, np.nan], [np.nan, 1.0]], [1.0, np.nan], np.zeros((2, 2)),
-                         stars)
+    def test_every_action_equal_to_the_row_maximum_is_greedy(self):
+        # -0.0 == 0.0, so both signed zeros lead their row
+        stars = np.array([[False, True, False], [True, False, False]])
+        cp = _checkpoint(1, [-0.0, 0.0, -1.0, 2.0, 3.0, 3.0], np.zeros((2, 3)), stars)
         assert cp.greedy_match.tolist() == [True, False]
 
 

@@ -5,13 +5,14 @@ from bisect import bisect_right
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import event, example, given, settings
 from hypothesis import strategies as st
 
 import mdplab.qlearn
 from mdplab import (
     LearningRateSchedule,
     QLearnConfig,
+    ValueOverflowError,
     make_mdp,
     policy_iteration,
     q_learning_run,
@@ -79,7 +80,7 @@ def tied_runs(draw, reward_sets, q_inits):
     """Runs of up to 2000 steps on small_mdps dynamics (A <= 8) whose rewards
     come from one of ``reward_sets`` and q_init from ``q_inits``, so rows tie
     often and the row maximum and runner-up bound the step loop keeps meet
-    ties, signed zeros and NaN."""
+    ties and signed zeros."""
     mdp = draw(small_mdps())
     n_s, n_a = mdp.n_states, mdp.n_actions
     values = draw(st.sampled_from(reward_sets))
@@ -120,28 +121,28 @@ def test_library_loop_matches_reference_on_ties_and_signed_zeros(run):
     assert trace_bits(q_learning_run(mdp, config, oracle)) == trace_bits(expected)
 
 
-def _without_errors(bits):
-    # the library carries a NaN into a checkpoint error where the reference skips it
-    bits["checkpoints"] = [[step, greedy] for step, _, greedy in bits["checkpoints"]]
-    return bits
-
-
 @settings(max_examples=300, deadline=None)
 @given(tied_runs([(1e308, -1e308, 0.0)], (0.0, 1e308, -1e308)))
 def test_library_loop_matches_reference_past_overflow(run):
-    # the updates overflow to +-inf and then to NaN; the oracle is any one of
-    # the same shape, and the checkpoint errors are left out
+    # the updates may overflow to +-inf and then to NaN, which stays in its
+    # entry; the oracle is any one of the same shape.  A run whose reference
+    # table ends finite gives the same bits, and any other raises
     finite, mdp, config = run
     oracle = policy_iteration(finite)
-    bits = [_without_errors(trace_bits(loop(mdp, config, oracle)))
-            for loop in (q_learning_run, reference_q_learning_run)]
-    assert bits[0] == bits[1]
+    expected = reference_q_learning_run(mdp, config, oracle)
+    if np.isfinite(expected.q_final.values).all():
+        event("reference table finite")
+        assert trace_bits(q_learning_run(mdp, config, oracle)) == trace_bits(expected)
+    else:
+        event("reference table not finite")
+        with pytest.raises(ValueOverflowError):
+            q_learning_run(mdp, config, oracle)
 
 
-def test_finite_value_below_a_nan_row_maximum_raises_max_abs_q():
+def test_finite_value_below_a_nan_row_maximum_ends_in_an_overflow_error():
     # (s0, a0) takes 1e308, then its zero rate times an overflowed target
     # writes NaN, which becomes s0's row maximum; the later 1.5e308 on
-    # (s0, a1) lies below that NaN maximum yet above every earlier |Q|
+    # (s0, a1) lies below that NaN maximum, and the run raises at its end
     t = np.zeros((2, 2, 2))
     t[0, 0, 0] = t[0, 1, 1] = t[1, :, 1] = 1.0
     mdp = make_mdp(("s0", "s1"), ("a0", "a1"), 0.9, t, np.array([[1e308, 1.5e308], [0.0, 0.0]]))
@@ -149,10 +150,10 @@ def test_finite_value_below_a_nan_row_maximum_raises_max_abs_q():
     oracle = policy_iteration(make_mdp(mdp.states, mdp.actions, 0.9, t, np.zeros((2, 2))))
     config = QLearnConfig(schedule=LearningRateSchedule.from_table([1.0, 0.0, 1.0]), steps=20,
                           seed=8, epsilon=1.0, checkpoint_every=1, start="s0")
-    trace = q_learning_run(mdp, config, oracle)
-    assert trace.max_abs_q == 1.5e308
     expected = reference_q_learning_run(mdp, config, oracle)
-    assert _without_errors(trace_bits(trace)) == _without_errors(trace_bits(expected))
+    assert np.isnan(expected.q_final.values).any() and expected.max_abs_q == 1.5e308
+    with pytest.raises(ValueOverflowError, match="^Q-learning values overflow within 20 steps"):
+        q_learning_run(mdp, config, oracle)
 
 
 class _TopDraws:
