@@ -12,9 +12,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .mdp import (STACK_BYTES, Policy, QTable, SingularSystemError, ValidationError,
-                  ValueOverflowError, as_count, as_number, expectations, frozen_array,
-                  policy_probs, solve_system)
+from .mdp import (Policy, QTable, SingularSystemError, ValidationError, ValueOverflowError,
+                  as_count, as_number, expectations, frozen_array, per_stack, policy_probs,
+                  solve_system)
 
 FD_STEP = 1e-5
 REL_FLOOR = 1e-8
@@ -180,8 +180,8 @@ def gradient_check(mdp, theta):
     bumps = np.concatenate([np.eye(n_a), -np.eye(n_a)]) * FD_STEP
     bumped = _softmax((theta[:, None] + bumps).reshape(-1, n_a)).reshape(n_s, -1, n_a)
     j = np.empty((n_s, 2 * n_a))
-    per_stack = max(1, STACK_BYTES // (2 * n_a * n_s * n_s * 8))
-    for rows in np.split(np.arange(n_s), range(per_stack, n_s, per_stack)):
+    size = per_stack(16 * n_a * n_s * n_s)
+    for rows in np.split(np.arange(n_s), range(size, n_s, size)):
         probs = np.tile(base, (len(rows), 2 * n_a, 1, 1))
         probs[rows - rows[0], :, rows] = bumped[rows]
         j[rows] = _chain(mdp, probs.reshape(-1, n_s, n_a))[3].reshape(len(rows), -1)

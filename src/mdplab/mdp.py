@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 ROW_SUM_TOL = 1e-9
-STACK_BYTES = 1 << 19  # sized for L2: P_pi bytes per stacked solve, value iteration history bytes
+STACK_BYTES = 1 << 19  # sized for L2: the one batch budget, read only by per_stack
 ONE_THREAD_N = 100  # smaller solves gave the same bits on 1 and 2 OpenBLAS threads
 _NUMBER_TYPES = (int, float, np.integer, np.floating)  # built once; as_number runs per entry
 _BLAS_LOCK = threading.Lock()  # the thread count is process-wide: held from set to restore
@@ -520,6 +520,11 @@ def solve_system(system, rhs, what):
             _BLAS_LOCK.release()
 
 
+def per_stack(item_bytes):
+    """Items of ``item_bytes`` bytes each in one batch of at most STACK_BYTES, at least 1."""
+    return max(1, STACK_BYTES // item_bytes)
+
+
 def evaluate(mdp, probs):
     """Discounted values V (S,) of an (S, A) action-probability array, or
     (K, S) of each policy in a (K, S, A) stack: one direct solve of
@@ -529,10 +534,10 @@ def evaluate(mdp, probs):
     shape = (mdp.n_states, mdp.n_actions)
     if not isinstance(probs, np.ndarray) or probs.shape[-2:] != shape:
         raise ValidationError(f"probs must be an ndarray whose shape ends in {shape}")
-    per_stack = max(1, STACK_BYTES // (8 * mdp.n_states ** 2))
-    if probs.ndim == 3 and len(probs) > per_stack:
-        return np.concatenate([evaluate(mdp, probs[k:k + per_stack])
-                               for k in range(0, len(probs), per_stack)])
+    size = per_stack(8 * mdp.n_states ** 2)
+    if probs.ndim == 3 and len(probs) > size:
+        return np.concatenate([evaluate(mdp, probs[k:k + size])
+                               for k in range(0, len(probs), size)])
     r_pi, system = expectations(mdp, probs)
     system *= -mdp.gamma
     # a view of the fresh C-contiguous system's diagonal; 1 + (-gamma p) rounds as 1 - gamma p

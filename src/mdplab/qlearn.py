@@ -17,9 +17,8 @@ from math import inf
 import numpy as np
 
 from .mdp import (QTable, ValidationError, ValueOverflowError, argmax_sets, as_count,
-                  as_integer, as_number, successor_cdf)
+                  as_integer, as_number, per_stack, successor_cdf)
 
-_CHUNK = 1 << 14
 # Longest table of schedule.rates a schedule keeps (about 8 MB harmonic, 2 MB
 # constant, which repeats one float); a visit index past it calls schedule.rate.
 _RATE_TABLE_CAP = 1 << 18
@@ -234,11 +233,10 @@ class ConvergenceTrace:
     max_abs_q: float
 
 
-def _checkpoint(step, q, q_star, stars):
-    """Sup-norm distance to the oracle (NaN if any entry is NaN) and, per state, whether an
-    action equal to its row's maximum is in the optimal mask ``stars``; ``q`` is flat or (S, A)."""
-    table = np.reshape(q, q_star.shape)
-    with np.errstate(over="ignore", invalid="ignore"):  # +-1e308 entries differ by inf
+def _checkpoint(step, table, q_star, stars):
+    """Sup-norm distance of the finite (S, A) ``table`` to the oracle (NaN at a NaN oracle
+    entry) and, per state, whether an action equal to its row's maximum is in ``stars``."""
+    with np.errstate(over="ignore"):  # +-1e308 entries differ by inf
         err = np.abs(table - q_star).max()
     greedy = table == table.max(axis=1, keepdims=True)
     return Checkpoint(step, float(err), (greedy & stars).any(axis=1))
@@ -254,14 +252,14 @@ def q_learning_run(mdp, config, oracle):
     successor is looked up.  Behavior is epsilon-greedy with ties to the lowest
     action index; the update bootstraps on the sampled successor.  The trace
     records the sup-norm distance to the oracle's action values every
-    ``checkpoint_every`` steps.  Uniforms are drawn per segment, at most _CHUNK
-    steps ending at a checkpoint or at the run's end, so no update depends on
-    ``checkpoint_every``; rates come from the schedule's kept table, grown up to
-    _RATE_TABLE_CAP.  The table, visit counts, rewards and successors are flat
-    lists indexed by the pair k = s * A + a.  Each state keeps the k of its row's
-    first maximum and a runner-up bound on the row's other entries; a row is
-    rescanned only when an update lowers its maximum to the bound or below.  A
-    run whose values leave the float range raises ValueOverflowError.
+    ``checkpoint_every`` steps.  Uniforms are drawn per segment, at most
+    per_stack(32) steps ending at a checkpoint or at the run's end, so no update
+    depends on ``checkpoint_every``; a run whose values overflow raises
+    ValueOverflowError at that segment's end.  Rates come from the schedule's kept
+    table, grown up to _RATE_TABLE_CAP.  The table, visits, rewards and successors
+    are flat lists indexed by the pair k = s * A + a.  Each state keeps the k of
+    its row's first maximum and a runner-up bound on the row's other entries; a
+    row is rescanned only when an update lowers its maximum to the bound or below.
     """
     if not isinstance(config, QLearnConfig):
         raise ValidationError(f"config must be a QLearnConfig, got {type(config).__name__}")
@@ -301,7 +299,7 @@ def q_learning_run(mdp, config, oracle):
     # exploring pair index (the bare action in trajectory mode) or -1 for a
     # greedy step, and the transition draw (unread when successors are fixed).
     while t < steps:
-        seg = min(steps - t, every - t % every, _CHUNK)
+        seg = min(steps - t, every - t % every, per_stack(32))  # 32 bytes of uniforms a step
         t += seg
         u = rng.random((seg, 4))
         acting = (u[:, 0] * n_s).astype(np.int64) if uniform_mode else 0
@@ -347,13 +345,13 @@ def q_learning_run(mdp, config, oracle):
                 if value < lo:  # value <= m <= hi here
                     lo = value
             s = nxt
+        table = np.reshape(q, (n_s, n_a))
+        if not np.isfinite(table).all():  # an overflow's inf or NaN stays in its entry
+            raise ValueOverflowError(f"Q-learning values overflow within {t} steps; "
+                                     f"rewards or q_init are too large for gamma {gamma}")
         if t % every == 0:
-            checkpoints.append(_checkpoint(t, q, q_star, stars))
+            checkpoints.append(_checkpoint(t, table, q_star, stars))
 
-    table = np.reshape(q, (n_s, n_a))
-    if not np.isfinite(table).all():  # an overflow's inf or NaN stays in its entry
-        raise ValueOverflowError(f"Q-learning values overflow within {steps} steps; "
-                                 f"rewards or q_init are too large for gamma {gamma}")
     return ConvergenceTrace(checkpoints=tuple(checkpoints), q_final=QTable(table),
                             visits=np.array(visits, dtype=np.int64).reshape(n_s, n_a),
                             max_abs_q=max(hi, -lo))

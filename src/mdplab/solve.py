@@ -9,8 +9,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .mdp import (STACK_BYTES, Policy, QTable, ValidationError, ValueFunction,
-                  ValueOverflowError, as_count, as_number, evaluate, frozen_array)
+from .mdp import (Policy, QTable, ValidationError, ValueFunction, ValueOverflowError,
+                  as_count, as_number, evaluate, frozen_array, per_stack)
 
 DOMINANCE_SLACK = 1e-7
 MAX_SWEEPS = 1_000_000
@@ -122,7 +122,7 @@ def value_iteration(mdp, epsilon):
             f"gamma {gamma} is too close to 1 for epsilon {epsilon}"
         )
     # sweep k writes row k + 1 of a history allocated once; row 0 starts a block
-    rows = min(max(1, STACK_BYTES // (16 * mdp.n_states)), bound)
+    rows = min(per_stack(16 * mdp.n_states), bound)
     q = np.empty((mdp.n_states, mdp.n_actions))
     hist, diff = np.empty((rows + 1, mdp.n_states)), np.empty((rows, mdp.n_states))
     hist[0], done, change = 0.0, 0, mdp.reward_bound

@@ -14,8 +14,8 @@ import math
 
 import numpy as np
 
-from mdplab.mdp import (STACK_BYTES, ValidationError, ValueOverflowError, as_number,
-                        expectations, solve_system)
+from mdplab.mdp import (ValidationError, ValueOverflowError, as_number, expectations, per_stack,
+                        solve_system)
 from mdplab.solve import (MAX_POLICY_ITERATIONS, MAX_SWEEPS, SweepLimitError, _result_from_v,
                           _sweep_bound)
 
@@ -61,10 +61,10 @@ def reference_value_iteration(mdp, epsilon):
 
 
 def reference_evaluate(mdp, probs):
-    per_stack = max(1, STACK_BYTES // (8 * mdp.n_states ** 2))
-    if probs.ndim == 3 and len(probs) > per_stack:
-        return np.concatenate([reference_evaluate(mdp, probs[k:k + per_stack])
-                               for k in range(0, len(probs), per_stack)])
+    size = per_stack(8 * mdp.n_states ** 2)
+    if probs.ndim == 3 and len(probs) > size:
+        return np.concatenate([reference_evaluate(mdp, probs[k:k + size])
+                               for k in range(0, len(probs), size)])
     r_pi, system = expectations(mdp, probs)
     system *= -mdp.gamma
     np.einsum("...ii->...i", system)[...] += 1.0  # 1 + (-gamma p) rounds as 1 - gamma p

@@ -14,8 +14,10 @@ from scipy import linalg
 from scipy.sparse.csgraph import connected_components
 
 from mdplab import (
+    LearningRateSchedule,
     NonFiniteThetaError,
     Policy,
+    QLearnConfig,
     ReducibleChainError,
     SingularSystemError,
     ValidationError,
@@ -27,6 +29,8 @@ from mdplab import (
     gradient_check,
     make_mdp,
     policy_gradient_analytic,
+    policy_iteration,
+    q_learning_run,
     random_mdp,
     softmax_policy,
     stationary_distribution,
@@ -34,6 +38,7 @@ from mdplab import (
     with_rewards,
 )
 from gradient_reference import reference_gradient_check
+from qlearn_reference import trace_bits
 from mdplab import gradient
 from mdplab.gradient import FD_STEP, _strongly_connected
 
@@ -373,7 +378,7 @@ def test_stacks_split_across_the_byte_budget(monkeypatch, states_per_stack):
     gen = np.random.default_rng(5)
     mdp = random_mdp(7, 3, 0.9, gen)
     theta = gen.normal(0.0, 2.0, size=(7, 3))
-    monkeypatch.setattr(gradient, "STACK_BYTES", (states_per_stack + 1) * 6 * 7 * 7 * 8 - 1)
+    monkeypatch.setattr("mdplab.mdp.STACK_BYTES", (states_per_stack + 1) * 6 * 7 * 7 * 8 - 1)
     stacks = []
     chain = gradient._chain
 
@@ -391,17 +396,21 @@ def test_stacks_split_across_the_byte_budget(monkeypatch, states_per_stack):
 def test_the_byte_budget_never_changes_a_bit(monkeypatch):
     # stacking splits the systems, never their arithmetic: from one system per
     # stack (1 KiB) to every system in one stack (64 MiB), gradient_check and
-    # a stacked evaluate give the same bytes
+    # a stacked evaluate give the same bytes; so does a Q-learning run, whose
+    # uniforms come in segments of 32 steps at 1 KiB
     gen = np.random.default_rng(8)
     mdps = [stay_go_mdp(0.9)] + [random_mdp(n_s, 3, 0.9, gen) for n_s in (2, 7, 19, 40)]
     cases = [(mdp, gen.normal(0.0, 2.0, size=(mdp.n_states, mdp.n_actions)),
               gen.dirichlet(np.ones(mdp.n_actions), size=(120, mdp.n_states))) for mdp in mdps]
+    oracle = policy_iteration(mdps[2])
+    config = QLearnConfig(schedule=LearningRateSchedule.harmonic(0.8), steps=3000, seed=4,
+                          epsilon=0.2, checkpoint_every=1000)
     results = set()
     for budget in (1 << 10, 1 << 14, 1 << 17, 1 << 21, 1 << 26):
         monkeypatch.setattr("mdplab.mdp.STACK_BYTES", budget)
-        monkeypatch.setattr(gradient, "STACK_BYTES", budget)
-        results.add(tuple((outcome(gradient_check, mdp, theta), evaluate(mdp, probs).tobytes())
-                          for mdp, theta, probs in cases))
+        results.add((tuple((outcome(gradient_check, mdp, theta), evaluate(mdp, probs).tobytes())
+                           for mdp, theta, probs in cases),
+                     repr(trace_bits(q_learning_run(mdps[2], config, oracle)))))
     assert len(results) == 1
 
 

@@ -21,7 +21,7 @@ from gradient_reference import reference_ascent_trace
 from mdplab import (ReducibleChainError, SweepLimitError, ValueOverflowError, ascent_trace,
                     make_mdp, policy_iteration, random_mdp, stay_go_mdp, value_iteration,
                     with_rewards)
-from mdplab.mdp import STACK_BYTES, evaluate
+from mdplab.mdp import evaluate, per_stack
 from solve_reference import (reference_evaluate, reference_policy_iteration,
                              reference_value_iteration)
 
@@ -85,7 +85,7 @@ def test_value_iteration_matches_the_reference_bit_for_bit(case):
 
 def sweeps_per_block(mp, mdp, rows):
     """Make value iteration's history hold ``rows`` sweeps of ``mdp``."""
-    mp.setattr(mdplab.solve, "STACK_BYTES", 16 * mdp.n_states * rows)
+    mp.setattr("mdplab.mdp.STACK_BYTES", 16 * mdp.n_states * rows)
 
 
 @settings(max_examples=150, deadline=None)
@@ -152,7 +152,7 @@ def test_policy_iteration_matches_the_reference_bit_for_bit(mdp):
 @pytest.mark.parametrize("n_s, n_a, trials, stacks",
                          [(1, 3, 4, 1), (5, 3, 1, 1), (20, 5, 400, 3), (50, 2, 60, 3)])
 def test_evaluate_matches_the_reference_across_sub_stacks(n_s, n_a, trials, stacks):
-    assert -(-trials // (STACK_BYTES // (8 * n_s * n_s))) == stacks
+    assert -(-trials // per_stack(8 * n_s * n_s)) == stacks
     gen = np.random.default_rng(n_s)
     mdp = random_mdp(n_s, n_a, 0.95, gen)
     for probs in (gen.dirichlet(np.ones(n_a), size=(trials, n_s)),

@@ -59,8 +59,8 @@ from mdplab import (
     with_rewards,
 )
 import mdplab.mdp
-from mdplab.mdp import (ONE_THREAD_N, STACK_BYTES, argmax_sets, as_count, as_integer, as_number,
-                        expectations, solve_system)
+from mdplab.mdp import (ONE_THREAD_N, argmax_sets, as_count, as_integer, as_number, expectations,
+                        per_stack, solve_system)
 from mdplab.qlearn import OPTIMAL_SET_TOL
 from mdplab.rewards import ARGMAX_TOL
 
@@ -729,16 +729,16 @@ class TestPolicyEvaluate:
         # 257 states one system alone passes the budget
         gen = np.random.default_rng(n_s)
         mdp = random_mdp(n_s, n_a, 0.9, gen)
-        per_stack = max(1, STACK_BYTES // (8 * n_s * n_s))
+        size = per_stack(8 * n_s * n_s)
         built, build = [], mdplab.mdp.expectations
         monkeypatch.setattr(mdplab.mdp, "expectations",
                             lambda mdp, probs: built.append(probs.shape[:-2]) or build(mdp, probs))
-        for count in sorted({1, per_stack - 1, per_stack, per_stack + 1, 200} - {0}):
+        for count in sorted({1, size - 1, size, size + 1, 200} - {0}):
             probs = gen.dirichlet(np.ones(n_a), size=(count, n_s))
             built.clear()
             stacked = evaluate(mdp, probs)
-            whole, rest = divmod(count, per_stack)
-            assert built == [(per_stack,)] * whole + [(rest,)] * (rest > 0)
+            whole, rest = divmod(count, size)
+            assert built == [(size,)] * whole + [(rest,)] * (rest > 0)
             one_at_a_time = np.stack([evaluate(mdp, p) for p in probs])
             assert stacked.tobytes() == one_at_a_time.tobytes()
 

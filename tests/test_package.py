@@ -149,6 +149,22 @@ def test_one_step_loop_in_q_learning_run():
         assert len(_calls(run, name)) == len(_calls(loop, name)) == 1
 
 
+def test_one_batch_budget_in_per_stack():
+    # STACK_BYTES sizes evaluate's sub-stacks, gradient_check's state chunks,
+    # value iteration's history and Q-learning's draw segments: only
+    # mdp.per_stack reads it, when called, so one patch moves every batch
+    readers, imported = [], []
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        readers += [(path.name, owner) for owner in _owners(path, lambda node: getattr(
+            node, "id", getattr(node, "attr", None)) == "STACK_BYTES")]
+        imported += [path.name for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)
+                     for alias in node.names if alias.name == "STACK_BYTES"]
+        assert "_CHUNK" not in path.read_text(encoding="utf-8"), path.name
+    assert readers == [("mdp.py", "<module>"), ("mdp.py", "per_stack")]
+    assert imported == []
+
+
 def test_one_construction_rule_in_post_init():
     # every input type checks itself in __post_init__, so the constructor,
     # dataclasses.replace and each factory share one checked path: a

@@ -26,9 +26,11 @@ from mdplab import (
     policy_iteration,
     q_learning_run,
     random_mdp,
+    stay_go_mdp,
     with_rewards,
 )
-from mdplab.qlearn import _CHUNK, _RATE_TABLE_CAP, Checkpoint, ConvergenceTrace, _checkpoint
+from mdplab.mdp import per_stack
+from mdplab.qlearn import _RATE_TABLE_CAP, Checkpoint, ConvergenceTrace, _checkpoint
 from qlearn_reference import reference_q_learning_run, trace_bits
 
 
@@ -382,8 +384,18 @@ class TestQLearningRun:
         assert all(np.isnan(cp.supnorm_error) for cp in trace.checkpoints)
         # on rewards whose Q overflows, the run raises instead of ending
         mdp = with_rewards(stay_go, [[0.0, 0.0], [1.7e308, 0.0]])
-        with pytest.raises(ValueOverflowError, match="^Q-learning values overflow within 2000 "):
+        with pytest.raises(ValueOverflowError, match="^Q-learning values overflow within 500 "):
             q_learning_run(mdp, config, oracle)
+
+    def test_an_overflowing_run_stops_at_the_end_of_its_segment(self):
+        # the learned values pass the float range at step 68, so a run of
+        # 2 * 10^6 steps raises after its first segment of 1000
+        mdp = with_rewards(stay_go_mdp(0.9), [[-1e307, 0.0], [1e307, 0.0]])
+        config = QLearnConfig(schedule=LearningRateSchedule.constant(0.5), steps=2_000_000,
+                              checkpoint_every=1000, q_init=-1.5e308)
+        with pytest.raises(ValueOverflowError, match="^Q-learning values overflow within 1000 "
+                                                     "steps"):
+            q_learning_run(mdp, config, policy_iteration(mdp))
 
     def test_config_must_be_a_qlearn_config(self, stay_go, stay_go_oracle):
         with pytest.raises(ValidationError, match="^config must be a QLearnConfig"):
@@ -427,7 +439,7 @@ class TestQLearningRun:
         # cap; the checkpoint interval does not divide the block size
         mdp = make_mdp(("s0",), ("a0",), 0.9, [[[1.0]]], [[1.0]])
         steps = _RATE_TABLE_CAP + 3
-        assert steps > 10 * _CHUNK and 100_003 % _CHUNK != 0
+        assert steps > 10 * per_stack(32) and 100_003 % per_stack(32) != 0
         config = QLearnConfig(schedule=schedule, steps=steps, seed=11,
                               checkpoint_every=100_003, start="s0")
         oracle = policy_iteration(mdp)
@@ -439,9 +451,10 @@ class TestQLearningRun:
         # a run over two blocks of uniforms gives the same bits whether its
         # segments end inside a block, at a block's end, just past it, or only
         # at the run's end
-        steps = 2 * _CHUNK + 5
+        block = per_stack(32)
+        steps = 2 * block + 5
         bits = []
-        for every in (997, _CHUNK, _CHUNK + 1, steps):
+        for every in (997, block, block + 1, steps):
             config = QLearnConfig(schedule=LearningRateSchedule.harmonic(0.8),
                                   steps=steps, seed=7, epsilon=0.2, checkpoint_every=every)
             trace = q_learning_run(stay_go, config, stay_go_oracle)
@@ -551,19 +564,20 @@ class TestCheckpoint:
         stars = np.array([[True, False]])
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            cp = _checkpoint(7, [[1e308, 0.0]], np.array([[-1e308, 0.0]]), stars)
+            cp = _checkpoint(7, np.array([[1e308, 0.0]]), np.array([[-1e308, 0.0]]), stars)
         assert cp.step == 7 and cp.supnorm_error == np.inf
         assert type(cp.supnorm_error) is float
 
     def test_a_nan_entry_gives_a_nan_error(self):
         stars = np.array([[True, False], [True, False]])
-        cp = _checkpoint(1, [[np.nan, 0.0], [5.0, 0.0]], np.zeros((2, 2)), stars)
+        cp = _checkpoint(1, np.array([[np.nan, 0.0], [5.0, 0.0]]), np.zeros((2, 2)), stars)
         assert np.isnan(cp.supnorm_error)
 
     def test_every_action_equal_to_the_row_maximum_is_greedy(self):
         # -0.0 == 0.0, so both signed zeros lead their row
         stars = np.array([[False, True, False], [True, False, False]])
-        cp = _checkpoint(1, [-0.0, 0.0, -1.0, 2.0, 3.0, 3.0], np.zeros((2, 3)), stars)
+        cp = _checkpoint(1, np.array([[-0.0, 0.0, -1.0], [2.0, 3.0, 3.0]]), np.zeros((2, 3)),
+                         stars)
         assert cp.greedy_match.tolist() == [True, False]
 
 

@@ -149,7 +149,7 @@ def test_finite_value_below_a_nan_row_maximum_ends_in_an_overflow_error():
     # policy_iteration overflows on these rewards; any oracle of the same shape will do
     oracle = policy_iteration(make_mdp(mdp.states, mdp.actions, 0.9, t, np.zeros((2, 2))))
     config = QLearnConfig(schedule=LearningRateSchedule.from_table([1.0, 0.0, 1.0]), steps=20,
-                          seed=8, epsilon=1.0, checkpoint_every=1, start="s0")
+                          seed=8, epsilon=1.0, checkpoint_every=20, start="s0")
     expected = reference_q_learning_run(mdp, config, oracle)
     assert np.isnan(expected.q_final.values).any() and expected.max_abs_q == 1.5e308
     with pytest.raises(ValueOverflowError, match="^Q-learning values overflow within 20 steps"):
